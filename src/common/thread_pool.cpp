@@ -18,7 +18,11 @@ namespace tucker::parallel {
 namespace {
 
 thread_local int t_width_cap = 0;  // 0 = uncapped
-thread_local bool t_is_worker = false;
+// Fanned-out chunks executing on this thread (worker or submitter). A
+// parallel_for issued from inside one runs inline: the submitter holds
+// submit_mutex_ for the whole fanout, so re-entering Pool::run from its own
+// chunk would try_lock a mutex it already owns.
+thread_local int t_chunk_depth = 0;
 
 int default_width() {
   if (const char* s = std::getenv("TUCKER_NUM_THREADS")) {
@@ -76,7 +80,10 @@ class Pool {
   }
 
   // Fans `job` out to the workers and participates from the calling thread.
-  // Returns only after every chunk has completed.
+  // Chunk 0 is reserved for the caller (job->next starts at 1), so the
+  // submitting thread always runs it: its arena footprint then does not
+  // depend on how fast the workers wake. Returns only after every chunk
+  // has completed.
   void run(const std::shared_ptr<Fanout>& job) {
     {
       std::lock_guard<std::mutex> g(config_mutex_);
@@ -87,6 +94,7 @@ class Pool {
     // correct because chunk placement never affects results.
     std::unique_lock<std::mutex> submit(submit_mutex_, std::try_to_lock);
     if (!submit.owns_lock()) {
+      execute(*job, 0, /*on_worker=*/false);
       drain(*job, /*on_worker=*/false);
       wait_done(*job);
       return;
@@ -97,6 +105,7 @@ class Pool {
       ++generation_;
     }
     wake_cv_.notify_all();
+    execute(*job, 0, /*on_worker=*/false);
     drain(*job, /*on_worker=*/false);
     wait_done(*job);
     {
@@ -135,7 +144,6 @@ class Pool {
   }
 
   void worker_loop() {
-    t_is_worker = true;
     std::uint64_t seen = 0;
     for (;;) {
       std::shared_ptr<Fanout> job;
@@ -150,34 +158,40 @@ class Pool {
     }
   }
 
-  // Claims and executes chunks until none remain. Exceptions are captured
-  // (first wins) rather than aborting the remaining chunks, so `done`
-  // always reaches nchunks and the submitter can rethrow deterministically.
+  // Claims and executes chunks until none remain.
   void drain(Fanout& job, bool on_worker) {
     for (;;) {
       const index_t t = job.next.fetch_add(1, std::memory_order_relaxed);
       if (t >= job.nchunks) break;
-      index_t lo, hi;
-      job.chunk_bounds(t, lo, hi);
-      const std::int64_t flops0 = on_worker ? thread_flops() : 0;
-      const std::int64_t bytes0 = on_worker ? thread_traffic() : 0;
-      try {
-        job.body(t, lo, hi);
-      } catch (...) {
-        std::lock_guard<std::mutex> g(job.eptr_mutex);
-        if (!job.eptr) job.eptr = std::current_exception();
-      }
-      if (on_worker) {
-        job.worker_flops.fetch_add(thread_flops() - flops0,
+      execute(job, t, on_worker);
+    }
+  }
+
+  // Runs chunk t. Exceptions are captured (first wins) rather than
+  // aborting the remaining chunks, so `done` always reaches nchunks and the
+  // submitter can rethrow deterministically.
+  void execute(Fanout& job, index_t t, bool on_worker) {
+    index_t lo, hi;
+    job.chunk_bounds(t, lo, hi);
+    const std::int64_t flops0 = on_worker ? thread_flops() : 0;
+    const std::int64_t bytes0 = on_worker ? thread_traffic() : 0;
+    ++t_chunk_depth;
+    try {
+      job.body(t, lo, hi);
+    } catch (...) {
+      std::lock_guard<std::mutex> g(job.eptr_mutex);
+      if (!job.eptr) job.eptr = std::current_exception();
+    }
+    --t_chunk_depth;
+    if (on_worker) {
+      job.worker_flops.fetch_add(thread_flops() - flops0,
+                                 std::memory_order_relaxed);
+      job.worker_traffic.fetch_add(thread_traffic() - bytes0,
                                    std::memory_order_relaxed);
-        job.worker_traffic.fetch_add(thread_traffic() - bytes0,
-                                     std::memory_order_relaxed);
-      }
-      if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          job.nchunks) {
-        std::lock_guard<std::mutex> g(done_mutex_);
-        done_cv_.notify_all();
-      }
+    }
+    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.nchunks) {
+      std::lock_guard<std::mutex> g(done_mutex_);
+      done_cv_.notify_all();
     }
   }
 
@@ -227,6 +241,7 @@ void run_indexed(index_t begin, index_t end, index_t grain,
   job->base = base;
   job->rem = rem;
   job->body = fn;
+  job->next.store(1, std::memory_order_relaxed);  // chunk 0: the caller's
   Pool::instance().run(job);
   // Worker-side flops belong to the logical computation this thread
   // submitted; fold them into its counter.
@@ -244,7 +259,7 @@ int max_threads() { return Pool::instance().width(); }
 void set_max_threads(int n) { Pool::instance().set_width(n); }
 
 int this_thread_width() {
-  if (t_is_worker) return 1;
+  if (t_chunk_depth > 0) return 1;
   const int w = max_threads();
   return t_width_cap > 0 ? std::min(w, t_width_cap) : w;
 }

@@ -14,13 +14,20 @@
 // std::thread::hardware_concurrency(). set_max_threads() reconfigures the
 // pool at runtime (used by tests and benchmarks to sweep thread counts).
 //
-// Nesting and oversubscription: pool workers and simmpi rank threads carry
-// a thread-local width cap. A parallel_for issued from a capped thread (a
-// nested kernel, or a rank thread of a P-rank simulation on a machine with
-// fewer than P x width cores) runs its chunks inline on the calling thread
-// instead of fanning out, so ranks x threads never exceeds the pool width.
-// simmpi's Runtime::run installs a cap of max(1, max_threads()/nprocs) on
-// every rank thread (see runtime.cpp).
+// Nesting and oversubscription: a thread executing a fanned-out chunk --
+// a pool worker *or* the submitting thread running its own share -- has
+// width 1, and simmpi rank threads carry a thread-local width cap. A
+// parallel_for issued from such a thread (a nested kernel, or a rank thread
+// of a P-rank simulation on a machine with fewer than P x width cores) runs
+// its chunks inline on the calling thread instead of fanning out, so
+// nesting never re-enters the pool and ranks x threads never exceeds the
+// pool width. simmpi's Runtime::run installs a cap of
+// max(1, max_threads()/nprocs) on every rank thread (see runtime.cpp).
+//
+// Placement: a fanned-out call always runs chunk 0 on the submitting
+// thread (the rest go to whichever thread claims them first). Callers that
+// carve per-chunk scratch from their own arena rely on this to keep their
+// high-water mark independent of the width.
 //
 // Flop accounting: the per-thread counters of common/flops.hpp would
 // silently drop work executed on pool workers. parallel_for measures each
@@ -44,7 +51,8 @@ int max_threads();
 void set_max_threads(int n);
 
 /// Effective width for the calling thread: max_threads() clamped by any
-/// ThreadWidthCap in scope, and 1 on pool worker threads (no nested fanout).
+/// ThreadWidthCap in scope, and 1 inside a fanned-out chunk (no nested
+/// fanout, on workers and on the submitting thread alike).
 int this_thread_width();
 
 /// RAII thread-local width cap. simmpi rank threads use it so that local

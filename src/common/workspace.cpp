@@ -13,7 +13,6 @@ namespace {
 // Smallest arena block: big enough that the tiny frames of the unblocked
 // QR path never trigger a second allocation.
 constexpr std::size_t kMinBlock = std::size_t{1} << 16;  // 64 KiB
-constexpr std::size_t kAlign = 64;
 
 }  // namespace
 
@@ -48,7 +47,9 @@ void* Workspace::get_bytes(std::size_t bytes) {
     const std::size_t prev = blocks_.empty() ? 0 : blocks_.back().size;
     const std::size_t want =
         std::max({bytes + kAlign, kMinBlock, 2 * prev});
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(want), want});
+    blocks_.push_back(Block{
+        decltype(Block::data)(new (std::align_val_t{kAlign}) std::byte[want]()),
+        want});
     cur_block_ = blocks_.size() - 1;
     cur_off_ = 0;
   }

@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <typeindex>
@@ -187,8 +188,17 @@ class Workspace {
     void* ptr;
     void (*destroy)(void*);
   };
+  // Blocks are allocated kAlign-aligned, so the alignment padding inside
+  // a block -- and with it bytes_in_use() and high_water() -- is a pure
+  // function of the request sequence, never of where malloc put the block.
+  static constexpr std::size_t kAlign = 64;
+  struct AlignedDelete {
+    void operator()(std::byte* p) const {
+      ::operator delete[](p, std::align_val_t{kAlign});
+    }
+  };
   struct Block {
-    std::unique_ptr<std::byte[]> data;
+    std::unique_ptr<std::byte[], AlignedDelete> data;
     std::size_t size;
   };
 

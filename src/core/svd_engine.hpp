@@ -111,9 +111,9 @@ ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
 /// blocked pipelined Jacobi (same mathematics as kJacobi, panel-pair
 /// schedule that runs rotations on the thread pool; the only small-SVD
 /// backend whose rotations honor Accum::kWide), or kAuto (the default):
-/// Golub-Kahan unless an explicit override or a dispatch pin says
-/// otherwise (see resolve_small_svd below). kAuto deliberately does NOT
-/// consult the live thread width: the two backends agree to method
+/// Golub-Kahan unless TUCKER_SMALL_SVD says otherwise (see
+/// resolve_small_svd below). kAuto deliberately does NOT consult the
+/// thread width, pinned or live: the two backends agree to method
 /// accuracy, not bitwise, so a width-dependent choice would break the
 /// repo-wide guarantee that results are bitwise identical for every
 /// TUCKER_NUM_THREADS.
@@ -122,8 +122,7 @@ enum class SmallSvdBackend { kAuto, kJacobi, kJacobiPipelined, kGolubKahan };
 /// How kAuto resolves, runtime-mutable for tests and initialized once from
 /// TUCKER_SMALL_SVD: "gk"/"classic" forces Golub-Kahan everywhere,
 /// "piped"/"pipelined" forces the pipelined Jacobi, anything else (or
-/// unset) keeps the default: Golub-Kahan, unless a SmallSvdDispatchPin is
-/// active (below).
+/// unset) keeps the default: Golub-Kahan.
 enum class SmallSvdMode { kAuto, kClassic, kPipelined };
 
 inline SmallSvdMode& small_svd_mode() {
@@ -140,47 +139,12 @@ inline SmallSvdMode& small_svd_mode() {
   return mode;
 }
 
-/// RAII thread-local pin for the width the kAuto choice consults: pinned
-/// width >= 2 picks the pipelined Jacobi, pinned width 1 the classic
-/// path. Without a pin kAuto never looks at thread width at all (it would
-/// make compress_file bits depend on TUCKER_NUM_THREADS) and stays on
-/// Golub-Kahan. The serving workers pin the *global* pool width -- a
-/// per-process constant -- so the dispatch, and therefore the response
-/// bits, never depends on how many workers share the pool or on the
-/// ThreadWidthCap each worker runs under.
-class SmallSvdDispatchPin {
- public:
-  explicit SmallSvdDispatchPin(index_t width) : saved_(pinned()) {
-    pinned() = width;
-  }
-  ~SmallSvdDispatchPin() { pinned() = saved_; }
-  SmallSvdDispatchPin(const SmallSvdDispatchPin&) = delete;
-  SmallSvdDispatchPin& operator=(const SmallSvdDispatchPin&) = delete;
-
-  /// 0 = unpinned (kAuto stays on the classic backend).
-  static index_t& pinned() {
-    static thread_local index_t width = 0;
-    return width;
-  }
-
- private:
-  index_t saved_;
-};
-
 /// Resolves kAuto to a concrete backend; every other value passes through.
 inline SmallSvdBackend resolve_small_svd(SmallSvdBackend backend) {
   if (backend != SmallSvdBackend::kAuto) return backend;
-  switch (small_svd_mode()) {
-    case SmallSvdMode::kClassic:
-      return SmallSvdBackend::kGolubKahan;
-    case SmallSvdMode::kPipelined:
-      return SmallSvdBackend::kJacobiPipelined;
-    case SmallSvdMode::kAuto:
-      break;
-  }
-  const index_t pinned = SmallSvdDispatchPin::pinned();
-  return pinned >= 2 ? SmallSvdBackend::kJacobiPipelined
-                     : SmallSvdBackend::kGolubKahan;
+  return small_svd_mode() == SmallSvdMode::kPipelined
+             ? SmallSvdBackend::kJacobiPipelined
+             : SmallSvdBackend::kGolubKahan;
 }
 
 /// Small SVD of an LQ triangle: the shared back half of qr_svd and the

@@ -8,10 +8,8 @@
 //
 // Each worker is a plain std::thread layered on tucker::parallel:
 //   * width-capped to max_threads()/workers (ThreadWidthCap), so W workers
-//     collectively never oversubscribe the pool;
-//   * SmallSvdDispatchPin'd to max_threads(), so the kAuto small-SVD
-//     dispatch resolves identically whatever the worker count -- response
-//     bits never depend on how the service is sized;
+//     collectively never oversubscribe the pool (at cap 1 a compress runs
+//     its leaf-parallel LQ/Gram leaves inline, with the same bits);
 //   * owner of its thread-local Workspace arena, reset() (not released)
 //     between requests: after warm-up a steady-state request performs zero
 //     heap allocation inside the kernels, and the high-water mark each
@@ -35,11 +33,17 @@
 // their *marginal* modeled cost and the difference refunded to admission.
 //
 // Determinism contract: every kernel underneath is bitwise-invariant to
-// thread width, workers share no mutable per-request state, and the
-// dispatch pin removes the one width-sensitive policy choice; therefore
-// responses are bitwise identical across worker counts, queue
-// interleavings, and batch compositions (pinned by tests/serve_test.cpp
-// and tests/serve_batch_test.cpp).
+// thread width (including the kAuto small-SVD dispatch, which never reads
+// the width) and workers share no mutable per-request state; therefore a
+// compress response equals a direct core::sthosvd bitwise, and responses
+// are bitwise identical across worker counts, queue interleavings, and
+// batch compositions (tests/serve_test.cpp, tests/serve_batch_test.cpp).
+//
+// Validation: a request the service can tell is malformed at submit (an
+// unknown model, a region box outside the model, a compress without a
+// tensor) is refused there with a typed Refusal and counted in
+// ServeStats::refused_invalid -- it never reaches a worker, so a bad
+// request cannot abort the process the other tenants share.
 
 #include <atomic>
 #include <chrono>
@@ -131,6 +135,36 @@ struct ReconstructResponse {
   double latency_seconds = 0;
 };
 
+/// Why a submit produced no future.
+enum class Refusal {
+  kNone,          // accepted
+  kUnknownModel,  // reconstruct against an unregistered or evicted model
+  kBadRegion,     // region box arity, or a bound outside the model
+  kNoTensor,      // compress request without an input tensor
+  kShedBudget,    // the admission budget is full
+  kShedQueue,     // the queue is full (try_submit) or the service stopped
+};
+
+/// Result of a submit: the response future, or the typed Refusal. Reads
+/// like a std::optional of the future (has_value, *, ->).
+template <class F>
+class Submission {
+ public:
+  Submission(F fut) : fut_(std::move(fut)) {}
+  Submission(Refusal why) : why_(why) {}
+
+  bool has_value() const { return fut_.has_value(); }
+  explicit operator bool() const { return has_value(); }
+  F& operator*() & { return *fut_; }
+  F&& operator*() && { return std::move(*fut_); }
+  F* operator->() { return &*fut_; }
+  Refusal refusal() const { return why_; }
+
+ private:
+  std::optional<F> fut_;
+  Refusal why_ = Refusal::kNone;
+};
+
 struct WorkerStats {
   std::uint64_t requests = 0;
   std::size_t arena_high_water = 0;  // Workspace::high_water()
@@ -142,6 +176,7 @@ struct ServeStats {
   std::uint64_t reconstruct_done = 0;
   std::uint64_t shed_budget = 0;  // refused by the admission controller
   std::uint64_t shed_queue = 0;   // refused by a full queue (try_submit)
+  std::uint64_t refused_invalid = 0;  // malformed: kBadRegion, kNoTensor
   std::size_t queue_high_water = 0;
   double in_flight_flops = 0;
   std::size_t model_count = 0;
@@ -177,24 +212,25 @@ class Service {
   }
   bool unregister_model(ModelId id) { return models_.erase(id); }
 
-  /// Blocking submit: waits for queue space; nullopt only when the
-  /// admission budget sheds the request or the service is stopped.
-  std::optional<std::future<CompressResponse<T>>> submit(
-      CompressRequest<T> req) {
+  using CompressSubmission = Submission<std::future<CompressResponse<T>>>;
+  using ReconstructSubmission =
+      Submission<std::future<ReconstructResponse<T>>>;
+
+  /// Blocking submit: waits for queue space. Refused (no future) when the
+  /// request is malformed, its model is unknown, the admission budget
+  /// sheds it, or the service is stopped.
+  CompressSubmission submit(CompressRequest<T> req) {
     return submit_compress(std::move(req), /*blocking=*/true);
   }
-  std::optional<std::future<ReconstructResponse<T>>> submit(
-      ReconstructRequest<T> req) {
+  ReconstructSubmission submit(ReconstructRequest<T> req) {
     return submit_reconstruct(std::move(req), /*blocking=*/true);
   }
 
   /// Nonblocking submit: additionally sheds when the queue is full.
-  std::optional<std::future<CompressResponse<T>>> try_submit(
-      CompressRequest<T> req) {
+  CompressSubmission try_submit(CompressRequest<T> req) {
     return submit_compress(std::move(req), /*blocking=*/false);
   }
-  std::optional<std::future<ReconstructResponse<T>>> try_submit(
-      ReconstructRequest<T> req) {
+  ReconstructSubmission try_submit(ReconstructRequest<T> req) {
     return submit_reconstruct(std::move(req), /*blocking=*/false);
   }
 
@@ -230,6 +266,7 @@ class Service {
     s.reconstruct_done = reconstruct_done_.load(std::memory_order_relaxed);
     s.shed_budget = admission_.shed();
     s.shed_queue = shed_queue_.load(std::memory_order_relaxed);
+    s.refused_invalid = refused_invalid_.load(std::memory_order_relaxed);
     s.queue_high_water = queue_.high_water();
     s.in_flight_flops = admission_.in_flight_flops();
     s.model_count = models_.size();
@@ -265,7 +302,6 @@ class Service {
     RequestCost cost;
     Clock::time_point submitted;
     std::uint64_t batch_key = 0;  // serve::fuse_key; 0 = never fuses
-    bool fusable = false;
   };
 
   struct SlotStats {
@@ -292,53 +328,56 @@ class Service {
     return o;
   }
 
-  std::optional<std::future<CompressResponse<T>>> submit_compress(
-      CompressRequest<T> req, bool blocking) {
-    TUCKER_CHECK(req.x != nullptr, "serve: compress request needs a tensor");
+  CompressSubmission submit_compress(CompressRequest<T> req, bool blocking) {
+    if (req.x == nullptr) return refuse_invalid(Refusal::kNoTensor);
     auto task = std::make_unique<Task>();
     task->kind = Kind::kCompress;
     task->cost =
         compress_cost(req.x->dims(), req.spec, req.method, req.opt, sizeof(T));
     task->creq = std::move(req);
     auto fut = task->cpromise.get_future();
-    if (!enqueue(std::move(task), blocking)) return std::nullopt;
+    const Refusal why = enqueue(std::move(task), blocking);
+    if (why != Refusal::kNone) return why;
     return fut;
   }
 
-  std::optional<std::future<ReconstructResponse<T>>> submit_reconstruct(
-      ReconstructRequest<T> req, bool blocking) {
+  ReconstructSubmission submit_reconstruct(ReconstructRequest<T> req,
+                                           bool blocking) {
     auto sm = models_.find(req.model);
-    if (sm == nullptr) return std::nullopt;  // unknown/evicted tenant model
+    if (sm == nullptr) return Refusal::kUnknownModel;
     auto task = std::make_unique<Task>();
     task->kind = Kind::kReconstruct;
-    // Regions are priced at their own (smaller) TTM chain; malformed
-    // region bounds keep the full price and stay unfusable, so the worker
-    // runs them alone and they hit the same fail-fast TUCKER_CHECK the
-    // unbatched path fires -- a bad request never takes a batch with it.
-    bool valid = true;
+    // A region box is checked here, against the model it targets: one
+    // that reconstruct_region would reject is refused before it can reach
+    // a worker. Valid regions are priced at their own (smaller) TTM chain.
     if (!req.lo.empty() || !req.hi.empty()) {
       const std::size_t nm = sm->model.factors.size();
-      valid = req.lo.size() == nm && req.hi.size() == nm;
+      bool valid = req.lo.size() == nm && req.hi.size() == nm;
       for (std::size_t n = 0; valid && n < nm; ++n)
         valid = 0 <= req.lo[n] && req.lo[n] <= req.hi[n] &&
                 req.hi[n] <= sm->model.factors[n].rows();
-      task->cost = valid ? region_cost(sm->model.core_dims(), req.lo, req.hi,
-                                       sizeof(T))
-                         : sm->cost;
+      if (!valid) return refuse_invalid(Refusal::kBadRegion);
+      task->cost =
+          region_cost(sm->model.core_dims(), req.lo, req.hi, sizeof(T));
     } else {
       task->cost = sm->cost;
     }
     task->batch_key = fuse_key(req.model, req.accum);
-    task->fusable = valid;
     task->rreq = std::move(req);
     auto fut = task->rpromise.get_future();
-    if (!enqueue(std::move(task), blocking)) return std::nullopt;
+    const Refusal why = enqueue(std::move(task), blocking);
+    if (why != Refusal::kNone) return why;
     return fut;
   }
 
-  bool enqueue(std::unique_ptr<Task> task, bool blocking) {
+  Refusal refuse_invalid(Refusal why) {
+    refused_invalid_.fetch_add(1, std::memory_order_relaxed);
+    return why;
+  }
+
+  Refusal enqueue(std::unique_ptr<Task> task, bool blocking) {
     const RequestCost cost = task->cost;
-    if (!admission_.try_admit(cost)) return false;
+    if (!admission_.try_admit(cost)) return Refusal::kShedBudget;
     task->submitted = Clock::now();
     {
       std::lock_guard<std::mutex> lk(done_mu_);
@@ -354,18 +393,15 @@ class Service {
         --accepted_;
       }
       done_cv_.notify_all();
-      return false;
+      return Refusal::kShedQueue;
     }
-    return true;
+    return Refusal::kNone;
   }
 
   void worker_main(int slot) {
-    // Cap so all workers together match the pool; pin the small-SVD
-    // dispatch to the uncapped width so sizing the pool differently can
-    // never flip a backend choice (see svd_engine.hpp).
-    const int full = parallel::max_threads();
-    parallel::ThreadWidthCap cap(std::max(1, full / opt_.workers));
-    core::SmallSvdDispatchPin pin(static_cast<index_t>(full));
+    // Cap so all workers together match the pool.
+    parallel::ThreadWidthCap cap(
+        std::max(1, parallel::max_threads() / opt_.workers));
     Workspace& arena = Workspace::local();
     const auto wait = std::chrono::microseconds(opt_.batch_wait_us);
     std::vector<std::unique_ptr<Task>> group;
@@ -379,7 +415,10 @@ class Service {
       } else {
         group = queue_.pop_group(
             opt_.batch_max, wait, [](const std::unique_ptr<Task>& t) {
-              return std::pair<std::uint64_t, bool>(t->batch_key, t->fusable);
+              // Every reconstruction was validated at submit, so each may
+              // fuse; compress requests never do.
+              return std::pair<std::uint64_t, bool>(
+                  t->batch_key, t->kind == Kind::kReconstruct);
             });
         if (group.empty()) break;
       }
@@ -448,7 +487,7 @@ class Service {
 
   // A fused group: every task is a reconstruction against the same
   // (model, accum) fusion key -- pop_group only groups equal keys, and
-  // every box was validated at submit (fusable). Plans the batch, refunds
+  // every box was validated at submit. Plans the batch, refunds
   // the marginal-pricing difference, runs the fused chains, materializes
   // gathers/copies, then fulfills promises in task order. Any failure
   // rejects every not-yet-fulfilled promise with the same exception the
@@ -574,6 +613,7 @@ class Service {
   std::atomic<std::uint64_t> compress_done_{0};
   std::atomic<std::uint64_t> reconstruct_done_{0};
   std::atomic<std::uint64_t> shed_queue_{0};
+  std::atomic<std::uint64_t> refused_invalid_{0};
   std::atomic<std::uint64_t> batches_done_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
   std::atomic<std::size_t> batch_high_water_{0};

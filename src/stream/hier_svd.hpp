@@ -15,9 +15,10 @@
 //     step expressed with the structured tpqrt kernel the paper's butterfly
 //     TSQR already uses.
 //
-// TriangleReducer keeps a binary-counter stack of triangles (one per tree
-// level, O(log C) memory) and merges equal-level neighbours as leaves
-// arrive -- the sequential schedule of a binary merge tree. The last mode's
+// The merge tree itself is tensor::TriangleReducer (tensor/tensor_lq.hpp),
+// shared with the in-memory leaf-parallel LQ: a binary-counter stack of
+// triangles (one per tree level, O(log C) memory) that merges equal-level
+// neighbours as slabs arrive. The last mode's
 // unfolding is *row*-split across slabs instead, so it takes the TSQR dual
 // (TsqrAccumulator): annihilate each slab's row block into a running
 // upper-triangular R.
@@ -46,86 +47,6 @@ namespace tucker::stream {
 using blas::index_t;
 using blas::Matrix;
 using blas::MatView;
-
-/// Binary merge tree over lower-triangular/trapezoidal LQ factors of
-/// column-split pieces of one m-row unfolding. push() folds one leaf;
-/// reduce() folds the remaining mixed-level stack and returns the m x m
-/// lower-triangular factor of the full unfolding.
-template <class T>
-class TriangleReducer {
- public:
-  explicit TriangleReducer(index_t m) : m_(m) {}
-
-  index_t rows() const { return m_; }
-  std::size_t pending() const { return tri_.size(); }
-
-  /// Folds the LQ factor of one column block (m x c, c <= m, lower
-  /// trapezoidal -- exactly what tensor_lq returns for a slab).
-  void push(MatView<const T> l) { push_padded(pad(l)); }
-
-  /// Folds a *dense* m x c block whose columns are scaled basis vectors
-  /// (the per-chunk rand-sketch case: U_c diag(sigma_c)); it is LQ-reduced
-  /// to a triangle first so the merge kernel can exploit structure.
-  void push_dense(MatView<const T> b) {
-    TUCKER_CHECK(b.rows() == m_ && b.cols() <= m_,
-                 "TriangleReducer: dense leaf must be m x (<= m)");
-    Matrix<T> t(m_, m_);
-    blas::copy(b, t.view().block(0, 0, m_, b.cols()));
-    std::vector<T> tau;
-    la::gelqf(t.view(), tau);
-    Matrix<T> l = la::extract_l<T>(t.view());
-    push_padded(pad(blas::MatView<const T>(l.view())));
-  }
-
-  /// Final triangle of all pushed leaves. An empty reducer returns the
-  /// zero triangle. The reducer is reset afterwards.
-  Matrix<T> reduce() {
-    if (tri_.empty()) return Matrix<T>(m_, m_);
-    // Fold the remaining binary-counter stack top-down (newest first), the
-    // same order a left-leaning binary tree would.
-    while (tri_.size() >= 2) merge_top_pair();
-    Matrix<T> out = std::move(tri_.back());
-    tri_.clear();
-    level_.clear();
-    return out;
-  }
-
- private:
-  Matrix<T> pad(MatView<const T> l) {
-    TUCKER_CHECK(l.rows() == m_ && l.cols() <= m_,
-                 "TriangleReducer: leaf must be m x (<= m) trapezoidal");
-    Matrix<T> t(m_, m_);  // zero-initialized; trapezoids pad to a triangle
-    blas::copy(l, t.view().block(0, 0, m_, l.cols()));
-    return t;
-  }
-
-  void push_padded(Matrix<T> t) {
-    tri_.push_back(std::move(t));
-    level_.push_back(0);
-    // Binary-counter carry: two subtrees of equal height merge into one of
-    // height + 1, keeping at most one pending triangle per level.
-    while (tri_.size() >= 2 && level_[tri_.size() - 1] == level_[tri_.size() - 2])
-      merge_top_pair();
-  }
-
-  void merge_top_pair() {
-    // tplqt([older | newer]): annihilate the newer triangle into the older
-    // one. Both operands are m x m lower triangular, so the structured
-    // (half-flop) variant applies.
-    Matrix<T>& dst = tri_[tri_.size() - 2];
-    Matrix<T>& src = tri_.back();
-    std::vector<T> tau;
-    la::tplqt(dst.view(), src.view(), tau, la::Pentagon::kTriangular);
-    const int lv = std::max(level_[level_.size() - 2], level_.back()) + 1;
-    tri_.pop_back();
-    level_.pop_back();
-    level_.back() = lv;
-  }
-
-  index_t m_;
-  std::vector<Matrix<T>> tri_;
-  std::vector<int> level_;
-};
 
 /// Folds the LQ factor of newly arrived columns into a persistent m x m
 /// lower triangle in place -- the incremental-update step of
@@ -200,7 +121,7 @@ Matrix<T> chunked_unfolding_lq(const tensor::Tensor<T>& y, std::size_t n,
 
   const index_t m = y.dim(n);
   const index_t slice_elems = last == 0 ? 0 : y.size() / last;
-  TriangleReducer<T> red(m);
+  tensor::TriangleReducer<T> red(m);
   tensor::Tensor<T> slab;
   tensor::Dims sdims = y.dims();
   for (index_t begin = 0; begin < last; begin += chunk_slices) {

@@ -457,7 +457,7 @@ StreamSthosvdResult<T> stream_sthosvd(
       } else if (method == core::SvdMethod::kRand) {
         // Per-chunk sketch (Minster/Li/Ballard), low-rank factors merged
         // as scaled bases: L L^T accumulates sum_c U_c S_c^2 U_c^T.
-        TriangleReducer<T> red(m);
+        tensor::TriangleReducer<T> red(m);
         double resid_total = 0;
         for (index_t s = 0; s < pipe.total(); ++s) {
           tensor::Tensor<T>& slab = pipe.next();
@@ -486,7 +486,7 @@ StreamSthosvdResult<T> stream_sthosvd(
         // Trailing residual pseudo-entry, as rand_svd itself reports.
         svd.sigma_sq.push_back(static_cast<T>(resid_total));
       } else {  // kQr / kStream: per-slab LQ, binary merge tree
-        TriangleReducer<T> red(m);
+        tensor::TriangleReducer<T> red(m);
         for (index_t s = 0; s < pipe.total(); ++s) {
           tensor::Tensor<T>& slab = pipe.next();
           if (pos == 0) res.norm_squared += slab.norm_squared();
@@ -607,7 +607,7 @@ class StreamingTucker {
 
     // Pass 1: per-mode triangles of the raw unfoldings + ||X||^2.
     {
-      std::vector<TriangleReducer<T>> red;
+      std::vector<tensor::TriangleReducer<T>> red;
       red.reserve(t);
       for (std::size_t n = 0; n < t; ++n) red.emplace_back(dims[n]);
       SlabPipeline<T> pipe(src);

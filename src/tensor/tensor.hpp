@@ -9,6 +9,7 @@
 // matrix; the last mode is a single row-major matrix. All kernels operate on
 // these block views in place -- tensor data is never reordered in memory.
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -172,6 +173,50 @@ const T& unfolding_entry(const Tensor<T>& t, std::size_t n, index_t i,
   const index_t ca = c / before;
   const index_t rows = t.dim(n);
   return t.data()[(ca * rows + i) * before + cb];
+}
+
+// ------------------------------------------------ leaf-split reductions
+
+/// Column split of the mode-n unfolding for the leaf-parallel reductions
+/// (tensor_lq, gram_of_unfolding): `count` leaves, each a contiguous range
+/// of `units`, factored independently on the pool and combined in leaf
+/// order. A unit is one column for the single-matrix modes (mode 0 and any
+/// mode with I_n^> == 1) and one whole I_n x I_n^< row-major block for the
+/// middle modes. The count is a pure function of the shape -- never of the
+/// thread width -- so the merge tree, and with it every result bit, is the
+/// same at every TUCKER_NUM_THREADS (DESIGN.md Sec 16).
+struct UnfoldingLeaves {
+  index_t count = 1;
+  index_t units = 0;
+  bool single = true;  // columns (true) or row-major blocks (false)
+
+  /// First unit of `leaf`. Leaf sizes differ by at most one unit and the
+  /// larger leaves come first, so leaf 0 is never smaller than another.
+  index_t lo(index_t leaf) const {
+    const index_t base = units / count, rem = units % count;
+    return leaf * base + std::min(leaf, rem);
+  }
+  index_t hi(index_t leaf) const { return lo(leaf + 1); }
+};
+
+/// Leaves for an unfolding of `rows` x `cols`: one per max(8 rows, 4096)
+/// columns, at most 8. Every leaf then stays short-fat (its LQ factor is a
+/// full triangle) and long enough that the per-leaf kernels keep their
+/// full cache blocking.
+inline index_t unfolding_leaf_count(index_t rows, index_t cols) {
+  const index_t per_leaf = std::max<index_t>(8 * rows, 4096);
+  return std::clamp<index_t>(cols / per_leaf, 1, 8);
+}
+
+inline UnfoldingLeaves unfolding_leaves(const Dims& dims, std::size_t n) {
+  const index_t before = prod_before(dims, n);
+  const index_t after = prod_after(dims, n);
+  UnfoldingLeaves p;
+  p.single = n == 0 || after == 1;
+  p.units = p.single ? before * after : after;
+  p.count = std::min(unfolding_leaf_count(dims[n], before * after),
+                     std::max<index_t>(p.units, 1));
+  return p;
 }
 
 }  // namespace tucker::tensor

@@ -226,12 +226,10 @@ TEST(JacobiPipelineTest, RankDeficientTriangleFromLowRankMatrix) {
 // ------------------------------------------------------- kAuto dispatch
 //
 // svd_of_l's default backend is kAuto: classic Golub-Kahan everywhere --
-// never a function of the live thread width, which would break the
-// repo-wide bitwise-across-TUCKER_NUM_THREADS guarantee -- unless a
-// SmallSvdDispatchPin is active (serving workers pin the global pool
-// width, a per-process constant) or TUCKER_SMALL_SVD /
+// never a function of the thread width, which would break the repo-wide
+// bitwise-across-TUCKER_NUM_THREADS guarantee -- unless TUCKER_SMALL_SVD /
 // core::small_svd_mode() forces a side. These tests pin the dispatch
-// bitwise against the explicit backends on both sides of every knob.
+// bitwise against the explicit backends on both sides of the knob.
 
 struct ModeGuard {
   core::SmallSvdMode saved = core::small_svd_mode();
@@ -269,29 +267,6 @@ TEST(SmallSvdDispatchTest, UnpinnedAutoIsClassicAtEveryWidth) {
   }
 }
 
-TEST(SmallSvdDispatchTest, PinnedAutoFollowsPinnedWidth) {
-  ThreadsGuard tg;
-  ModeGuard mg;
-  core::small_svd_mode() = core::SmallSvdMode::kAuto;
-  parallel::set_max_threads(2);
-  auto l = random_tall<double>(24, 24, 112);
-  {
-    core::SmallSvdDispatchPin pin(1);
-    expect_same_mode_svd(
-        core::svd_of_l(l, core::SmallSvdBackend::kAuto),
-        core::svd_of_l(l, core::SmallSvdBackend::kGolubKahan),
-        "pin 1: auto == Golub-Kahan");
-  }
-  for (index_t w : {index_t{2}, index_t{7}}) {
-    core::SmallSvdDispatchPin pin(w);
-    expect_same_mode_svd(
-        core::svd_of_l(l, core::SmallSvdBackend::kAuto),
-        core::svd_of_l(l, core::SmallSvdBackend::kJacobiPipelined),
-        "pin >= 2: auto == pipelined Jacobi");
-  }
-  EXPECT_EQ(core::SmallSvdDispatchPin::pinned(), 0) << "pin restored";
-}
-
 TEST(SmallSvdDispatchTest, ClassicModeOverridesWidth) {
   ThreadsGuard tg;
   ModeGuard mg;
@@ -314,36 +289,6 @@ TEST(SmallSvdDispatchTest, PipelinedModeOverridesWidth) {
       core::svd_of_l(l, core::SmallSvdBackend::kAuto),
       core::svd_of_l(l, core::SmallSvdBackend::kJacobiPipelined),
       "pipelined override beats width");
-}
-
-TEST(SmallSvdDispatchTest, DispatchPinOverridesThreadWidth) {
-  // The serving workers run width-capped but pin the dispatch to the
-  // global pool width, so their responses cannot depend on worker count.
-  ThreadsGuard tg;
-  ModeGuard mg;
-  core::small_svd_mode() = core::SmallSvdMode::kAuto;
-  auto l = random_tall<double>(22, 22, 115);
-  parallel::set_max_threads(1);
-  {
-    core::SmallSvdDispatchPin pin(7);
-    expect_same_mode_svd(
-        core::svd_of_l(l, core::SmallSvdBackend::kAuto),
-        core::svd_of_l(l, core::SmallSvdBackend::kJacobiPipelined),
-        "pin 7 at width 1 -> pipelined");
-  }
-  parallel::set_max_threads(7);
-  {
-    core::SmallSvdDispatchPin pin(1);
-    expect_same_mode_svd(
-        core::svd_of_l(l, core::SmallSvdBackend::kAuto),
-        core::svd_of_l(l, core::SmallSvdBackend::kGolubKahan),
-        "pin 1 at width 7 -> classic");
-  }
-  // Pins restore on scope exit: back to the width-blind default.
-  expect_same_mode_svd(
-      core::svd_of_l(l, core::SmallSvdBackend::kAuto),
-      core::svd_of_l(l, core::SmallSvdBackend::kGolubKahan),
-      "pin restored -> classic regardless of width");
 }
 
 }  // namespace

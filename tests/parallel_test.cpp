@@ -10,6 +10,7 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -141,6 +142,41 @@ TEST_F(ParallelTest, NestedParallelForRunsInlineAndCorrectly) {
     });
     for (int h : hits) EXPECT_EQ(h, 1);
   }
+}
+
+// A chunk the *submitting* thread runs is nested too: its parallel_for (here
+// the ones inside gemm) must run inline instead of re-entering the pool
+// whose submit lock that thread already holds. Chunk 0 always runs on the
+// submitter, and the results match width 1 bit for bit.
+TEST_F(ParallelTest, NestedParallelForOnSubmitterRunsInlineBitwise) {
+  const auto a = rand_mat<double>(96, 160, 11);
+  const auto b = rand_mat<double>(160, 96, 12);
+  auto run = [&](int w, bool check_placement) {
+    set_max_threads(w);
+    std::vector<Matrix<double>> out(8, Matrix<double>(96, 96));
+    std::vector<int> widths(8, 0);
+    std::vector<std::thread::id> ran_on(8);
+    const auto caller = std::this_thread::get_id();
+    tucker::parallel::parallel_for_chunks(
+        0, 8, 1, [&](index_t c, index_t, index_t) {
+          const auto i = static_cast<std::size_t>(c);
+          widths[i] = tucker::parallel::this_thread_width();
+          ran_on[i] = std::this_thread::get_id();
+          tucker::blas::gemm(1.0 + static_cast<double>(c),
+                             MatView<const double>(a.view()),
+                             MatView<const double>(b.view()), 0.0,
+                             out[i].view());
+        });
+    for (int wi : widths) EXPECT_EQ(wi, 1) << "width " << w;
+    if (check_placement) {
+      EXPECT_EQ(ran_on[0], caller) << "width " << w;
+    }
+    return out;
+  };
+  const auto ref = run(1, false);
+  const auto got = run(4, true);
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    EXPECT_TRUE(same_bits(got[i], ref[i])) << "chunk " << i;
 }
 
 TEST_F(ParallelTest, ThreadWidthCapForcesSerial) {

@@ -290,6 +290,66 @@ TEST(Service, UnknownModelRefusedAtSubmit) {
   req.model = 999;
   EXPECT_FALSE(svc.submit(req).has_value());
   EXPECT_FALSE(svc.try_submit(req).has_value());
+  EXPECT_EQ(svc.submit(req).refusal(), serve::Refusal::kUnknownModel);
+}
+
+// A malformed region box is refused at submit with a typed reason and
+// counted; it never reaches a worker (where reconstruct_region's check
+// would abort the process every tenant shares), so the service keeps
+// answering the requests around it.
+TEST(Service, BadRegionRefusedAtSubmitAndServiceKeepsServing) {
+  auto model = make_model({16, 12, 10}, {4, 4, 3}, 38);
+  const auto reference = model.reconstruct();
+  serve::Service<double> svc(serve::ServeOptions{1, 8, -1, true});
+  const auto id = svc.register_model(std::move(model));
+
+  serve::ReconstructRequest<double> good;
+  good.model = id;
+  auto f1 = svc.submit(good);
+  ASSERT_TRUE(f1.has_value());
+  EXPECT_EQ(f1.refusal(), serve::Refusal::kNone);
+  EXPECT_EQ(fingerprint(f1->get().tensor), fingerprint(reference));
+
+  auto region = [&](std::vector<index_t> lo, std::vector<index_t> hi) {
+    serve::ReconstructRequest<double> r;
+    r.model = id;
+    r.lo = std::move(lo);
+    r.hi = std::move(hi);
+    return r;
+  };
+  const serve::ReconstructRequest<double> bad[] = {
+      region({0, 0, 0}, {17, 12, 10}),  // hi beyond the factor rows
+      region({0, 0, 0}, {16, 12}),      // arity mismatch
+      region({5, 0, 0}, {4, 12, 10}),   // lo > hi
+      region({-1, 0, 0}, {4, 12, 10}),  // negative lo
+  };
+  for (const auto& r : bad) {
+    auto f = svc.submit(r);
+    EXPECT_FALSE(f.has_value());
+    EXPECT_EQ(f.refusal(), serve::Refusal::kBadRegion);
+  }
+  auto ft = svc.try_submit(bad[0]);
+  EXPECT_FALSE(ft.has_value());
+  EXPECT_EQ(ft.refusal(), serve::Refusal::kBadRegion);
+
+  auto fc = svc.submit(serve::CompressRequest<double>{});
+  EXPECT_FALSE(fc.has_value());
+  EXPECT_EQ(fc.refusal(), serve::Refusal::kNoTensor);
+
+  // Still serving: a full and a valid region reconstruct both answer.
+  auto f2 = svc.submit(good);
+  ASSERT_TRUE(f2.has_value());
+  EXPECT_EQ(fingerprint(f2->get().tensor), fingerprint(reference));
+  auto f3 = svc.submit(region({2, 0, 5}, {9, 12, 10}));
+  ASSERT_TRUE(f3.has_value());
+  f3->get();
+
+  const auto st = svc.stats();
+  EXPECT_EQ(st.refused_invalid, 6u);
+  EXPECT_EQ(st.reconstruct_done, 3u);
+  EXPECT_EQ(st.shed_budget, 0u);
+  EXPECT_EQ(st.shed_queue, 0u);
+  EXPECT_EQ(st.in_flight_flops, 0.0);
 }
 
 // The headline determinism contract: every response is bitwise identical
