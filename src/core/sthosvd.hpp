@@ -205,21 +205,11 @@ struct SthosvdResult {
   /// ||X||^2 of the input (used for the truncation threshold).
   double norm_squared = 0;
 
-  /// Guaranteed relative-error estimate from the discarded tail energies:
-  /// sqrt(sum_n sum_{i >= R_n} sigma_{n,i}^2) / ||X|| -- what ST-HOSVD can
-  /// certify without reconstructing (TuckerMPI reports the same bound).
-  /// Exact in exact arithmetic; in floating point it is as trustworthy as
-  /// the computed singular values (i.e. down to eps for QR-SVD and sqrt(eps)
-  /// for Gram-SVD, the paper's Sec 3.2).
+  /// Guaranteed relative-error estimate from the discarded tail energies
+  /// (core::tail_relative_error) -- what ST-HOSVD can certify without
+  /// reconstructing.
   double estimated_relative_error() const {
-    double tail = 0;
-    for (std::size_t n = 0; n < mode_sigmas.size(); ++n) {
-      const auto& sig = mode_sigmas[n];
-      for (std::size_t i = static_cast<std::size_t>(ranks[n]);
-           i < sig.size(); ++i)
-        tail += static_cast<double>(sig[i]) * static_cast<double>(sig[i]);
-    }
-    return norm_squared > 0 ? std::sqrt(tail / norm_squared) : 0.0;
+    return tail_relative_error(mode_sigmas, ranks, norm_squared);
   }
 };
 
@@ -234,21 +224,15 @@ SthosvdResult<T> sthosvd(const tensor::Tensor<T>& x,
                          Accum accum = Accum::kNative) {
   const std::size_t nmodes = x.order();
   if (order.empty()) order = forward_order(nmodes);
-  TUCKER_CHECK(order.size() == nmodes, "sthosvd: order must list every mode");
-  if (spec.is_fixed_rank())
-    TUCKER_CHECK(spec.ranks.size() == nmodes,
-                 "sthosvd: fixed-rank spec needs one rank per mode");
+  const char* bad = check_spec(spec, order, nmodes);
+  TUCKER_CHECK(bad == nullptr, bad);
 
   SthosvdResult<T> out;
   out.order = order;
   out.mode_sigmas.resize(nmodes);
   out.ranks.assign(nmodes, 0);
   out.norm_squared = x.norm_squared();
-  const double threshold_sq =
-      spec.is_fixed_rank()
-          ? 0
-          : spec.epsilon * spec.epsilon * out.norm_squared /
-                static_cast<double>(nmodes);
+  const double threshold_sq = mode_threshold_sq(spec, out.norm_squared, nmodes);
 
   // The truncation chain ping-pongs between two stashed scratch tensors
   // (mode k reads the output of mode k-1), so repeated sthosvd calls reuse
@@ -267,23 +251,8 @@ SthosvdResult<T> sthosvd(const tensor::Tensor<T>& x,
         y, n, method, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
         threshold_sq, ropt, accum);
 
-    std::vector<T>& sig = out.mode_sigmas[n];
-    sig.resize(svd.sigma_sq.size());
-    for (std::size_t i = 0; i < sig.size(); ++i)
-      sig[i] = std::sqrt(svd.sigma_sq[i]);
-
-    blas::index_t r;
-    if (spec.is_fixed_rank()) {
-      r = std::min(spec.ranks[n], svd.u.cols());
-    } else {
-      r = std::min(select_rank(svd.sigma_sq, threshold_sq), svd.u.cols());
-    }
-    out.ranks[n] = r;
-
-    // Factor matrix: leading r left singular vectors.
-    blas::Matrix<T> u(y.dim(n), r);
-    blas::copy(blas::MatView<const T>(svd.u.view().block(0, 0, y.dim(n), r)),
-               u.view());
+    blas::Matrix<T> u = take_mode(svd, spec, n, threshold_sq,
+                                  out.mode_sigmas[n], out.ranks[n]);
     // Truncate: Y <- Y x_n U^T, into the other ping-pong slot.
     tensor::ttm_into(y, n, blas::MatView<const T>(u.view().t()), pp[slot],
                      accum);

@@ -69,17 +69,6 @@ inline std::string_view method_name(SvdMethod m) {
   return "?";  // unreachable; silences -Wreturn-type
 }
 
-/// Result of the truncated-SVD step for one mode.
-template <class T>
-struct ModeSvd {
-  /// Squared singular values of the unfolding, descending. Gram-SVD reports
-  /// |lambda_i|; QR-SVD reports sigma_i^2. Stored in working precision: the
-  /// rank-selection noise floor is part of the behaviour under study.
-  std::vector<T> sigma_sq;
-  /// Left singular vectors: I_n x (number of reported values).
-  blas::Matrix<T> u;
-};
-
 /// Dense eigensolver used on the Gram matrix: Householder
 /// tridiagonalization + implicit QL (the syev-style pair TuckerMPI calls;
 /// default) or cyclic Jacobi. The sqrt(eps) accuracy floor comes from
@@ -87,13 +76,12 @@ struct ModeSvd {
 /// paper's purposes (bench/ablation_solvers demonstrates this).
 enum class EvdBackend { kJacobi, kTridiagonalQl };
 
-/// SVD of the mode-n unfolding via the Gram matrix (TuckerMPI's Alg 2 +
-/// symmetric eigensolver).
+/// Eigendecomposition of a Gram matrix as a ModeSvd: the shared back half
+/// of gram_svd and of the distributed and out-of-core Gram paths, which
+/// reduce G across ranks or slabs first.
 template <class T>
-ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
-                    EvdBackend backend = EvdBackend::kTridiagonalQl,
-                    Accum accum = Accum::kNative) {
-  blas::Matrix<T> g = tensor::gram_of_unfolding(y, n, accum);
+ModeSvd<T> svd_of_gram(const blas::Matrix<T>& g,
+                       EvdBackend backend = EvdBackend::kTridiagonalQl) {
   auto eig = backend == EvdBackend::kTridiagonalQl
                  ? la::tridiag_eig(blas::MatView<const T>(g.view()))
                  : la::jacobi_eig(blas::MatView<const T>(g.view()));
@@ -104,48 +92,28 @@ ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
   return out;
 }
 
+/// SVD of the mode-n unfolding via the Gram matrix (TuckerMPI's Alg 2 +
+/// symmetric eigensolver).
+template <class T>
+ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
+                    EvdBackend backend = EvdBackend::kTridiagonalQl,
+                    Accum accum = Accum::kNative) {
+  return svd_of_gram(tensor::gram_of_unfolding(y, n, accum), backend);
+}
+
 /// Dense solver used for the small SVD of the triangular factor:
 /// Golub-Kahan bidiagonalization with shifted/zero-shift QR (the classical
 /// gesvd-style algorithm the paper calls), one-sided Jacobi with de Rijk
-/// pivoting (simplest, very accurate on this preconditioned input), the
+/// pivoting (simplest, very accurate on this preconditioned input), or the
 /// blocked pipelined Jacobi (same mathematics as kJacobi, panel-pair
 /// schedule that runs rotations on the thread pool; the only small-SVD
-/// backend whose rotations honor Accum::kWide), or kAuto (the default):
-/// Golub-Kahan unless TUCKER_SMALL_SVD says otherwise (see
-/// resolve_small_svd below). kAuto deliberately does NOT consult the
-/// thread width, pinned or live: the two backends agree to method
-/// accuracy, not bitwise, so a width-dependent choice would break the
-/// repo-wide guarantee that results are bitwise identical for every
-/// TUCKER_NUM_THREADS.
+/// backend whose rotations honor Accum::kWide). kAuto (the default) is
+/// Golub-Kahan, always: the backends agree to method accuracy, not bitwise,
+/// so any runtime choice between them (thread width, a process-wide knob)
+/// would break the guarantee that results are bitwise identical for every
+/// TUCKER_NUM_THREADS. The pipelined Jacobi runs only when a caller names
+/// kJacobiPipelined.
 enum class SmallSvdBackend { kAuto, kJacobi, kJacobiPipelined, kGolubKahan };
-
-/// How kAuto resolves, runtime-mutable for tests and initialized once from
-/// TUCKER_SMALL_SVD: "gk"/"classic" forces Golub-Kahan everywhere,
-/// "piped"/"pipelined" forces the pipelined Jacobi, anything else (or
-/// unset) keeps the default: Golub-Kahan.
-enum class SmallSvdMode { kAuto, kClassic, kPipelined };
-
-inline SmallSvdMode& small_svd_mode() {
-  static SmallSvdMode mode = [] {
-    if (const char* s = std::getenv("TUCKER_SMALL_SVD")) {
-      const std::string_view v(s);
-      if (v == "gk" || v == "classic" || v == "golub-kahan")
-        return SmallSvdMode::kClassic;
-      if (v == "piped" || v == "pipelined" || v == "jacobi-pipelined")
-        return SmallSvdMode::kPipelined;
-    }
-    return SmallSvdMode::kAuto;
-  }();
-  return mode;
-}
-
-/// Resolves kAuto to a concrete backend; every other value passes through.
-inline SmallSvdBackend resolve_small_svd(SmallSvdBackend backend) {
-  if (backend != SmallSvdBackend::kAuto) return backend;
-  return small_svd_mode() == SmallSvdMode::kPipelined
-             ? SmallSvdBackend::kJacobiPipelined
-             : SmallSvdBackend::kGolubKahan;
-}
 
 /// Small SVD of an LQ triangle: the shared back half of qr_svd and the
 /// streaming engine (both must take the identical code path so a
@@ -155,7 +123,6 @@ inline SmallSvdBackend resolve_small_svd(SmallSvdBackend backend) {
 template <class T>
 ModeSvd<T> svd_of_l(blas::Matrix<T> l, SmallSvdBackend backend,
                     Accum accum = Accum::kNative) {
-  backend = resolve_small_svd(backend);
   ModeSvd<T> out;
   auto take = [&](auto svd) {
     out.sigma_sq.reserve(svd.sigma.size());
@@ -163,8 +130,7 @@ ModeSvd<T> svd_of_l(blas::Matrix<T> l, SmallSvdBackend backend,
     out.u = std::move(svd.u);
   };
   switch (backend) {
-    case SmallSvdBackend::kAuto:  // resolved above; land on plain Jacobi
-      break;
+    case SmallSvdBackend::kAuto:
     case SmallSvdBackend::kGolubKahan:
       if (l.rows() >= l.cols() && l.cols() >= 1) {
         take(la::bidiag_svd(blas::MatView<const T>(l.view())));

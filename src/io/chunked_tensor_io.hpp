@@ -82,7 +82,7 @@ class ChunkedTensorWriter {
 
   index_t num_slabs() const {
     const index_t last = dims_.back();
-    return last == 0 ? 0 : (last + slab_slices_ - 1) / slab_slices_;
+    return last == 0 ? 0 : (last - 1) / slab_slices_ + 1;
   }
 
   /// Appends the next slab's payload. The slab must carry the expected
@@ -190,17 +190,23 @@ class ChunkedTensorReader {
       }
       r.dims_[k] = static_cast<index_t>(d);
     }
+    const index_t count = tensor::checked_num_elements(r.dims_, sizeof(T));
+    if (count < 0) {
+      out.status = IoStatus::kBadHeader;
+      out.detail = "header dims are negative or their byte size overflows";
+      return out;
+    }
     std::uint64_t ss = 0, ns = 0;
     if (!detail::try_read(f.get(), &ss, 1) ||
-        !detail::try_read(f.get(), &ns, 1) || ss == 0) {
+        !detail::try_read(f.get(), &ns, 1) || static_cast<index_t>(ss) <= 0) {
       out.status = IoStatus::kBadHeader;
-      out.detail = "missing or zero slab_slices";
+      out.detail = "missing, zero or negative slab_slices";
       return out;
     }
     r.slab_slices_ = static_cast<index_t>(ss);
     const index_t last = r.dims_.back();
     const index_t expect_slabs =
-        last == 0 ? 0 : (last + r.slab_slices_ - 1) / r.slab_slices_;
+        last == 0 ? 0 : (last - 1) / r.slab_slices_ + 1;
     if (static_cast<index_t>(ns) != expect_slabs) {
       out.status = IoStatus::kBadHeader;
       out.detail = "num_slabs " + std::to_string(ns) +
@@ -208,9 +214,7 @@ class ChunkedTensorReader {
                    std::to_string(expect_slabs) + ")";
       return out;
     }
-    const auto want =
-        static_cast<std::int64_t>(tensor::num_elements(r.dims_)) *
-        static_cast<std::int64_t>(sizeof(T));
+    const auto want = count * static_cast<std::int64_t>(sizeof(T));
     const std::int64_t have = detail::bytes_remaining(f.get());
     if (have >= 0 && have < want) {
       out.status = IoStatus::kShortFile;
@@ -236,7 +240,7 @@ class ChunkedTensorReader {
   index_t slab_slices() const { return slab_slices_; }
   index_t num_slabs() const {
     const index_t last = dims_.back();
-    return last == 0 ? 0 : (last + slab_slices_ - 1) / slab_slices_;
+    return last == 0 ? 0 : (last - 1) / slab_slices_ + 1;
   }
   index_t slab_begin(index_t s) const { return s * slab_slices_; }
   index_t slab_extent(index_t s) const {

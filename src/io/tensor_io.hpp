@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,8 +171,13 @@ IoResult<Tensor<T>> try_read_tensor(const std::string& path) {
     }
     dims[k] = static_cast<index_t>(d);
   }
-  const auto want = static_cast<std::int64_t>(tensor::num_elements(dims)) *
-                    static_cast<std::int64_t>(sizeof(T));
+  const index_t count = tensor::checked_num_elements(dims, sizeof(T));
+  if (count < 0) {
+    out.status = IoStatus::kBadHeader;
+    out.detail = "header dims are negative or their byte size overflows";
+    return out;
+  }
+  const auto want = count * static_cast<std::int64_t>(sizeof(T));
   const std::int64_t have = detail::bytes_remaining(f.get());
   if (have >= 0 && have < want) {
     out.status = IoStatus::kShortFile;
@@ -298,11 +304,22 @@ core::TuckerTensor<T> read_tucker(const std::string& path) {
     core_dims[n] = static_cast<index_t>(cols);
   }
   // Size check before any payload read: a truncated container dies with a
-  // diagnosis instead of a garbage factor matrix.
-  std::int64_t want = static_cast<std::int64_t>(tensor::num_elements(core_dims));
+  // diagnosis instead of a garbage factor matrix, and header dims that are
+  // negative or overflow the byte count die before anything is sized.
+  std::int64_t want = 0;  // payload bytes; -1 once the header overflows
+  auto add_payload = [&](const Dims& d) {
+    const index_t count = tensor::checked_num_elements(d, sizeof(T));
+    const index_t bytes = count * static_cast<index_t>(sizeof(T));
+    if (want < 0 || count < 0 ||
+        bytes > std::numeric_limits<std::int64_t>::max() - want)
+      want = -1;
+    else
+      want += bytes;
+  };
+  add_payload(core_dims);
   for (std::uint32_t n = 0; n < order; ++n)
-    want += static_cast<std::int64_t>(shapes[n].first) * shapes[n].second;
-  want *= static_cast<std::int64_t>(sizeof(T));
+    add_payload({shapes[n].first, shapes[n].second});
+  TUCKER_CHECK(want >= 0, "io: tucker container header dims overflow");
   const std::int64_t have = detail::bytes_remaining(f);
   TUCKER_CHECK(have < 0 || have >= want,
                "io: truncated tucker container (payload smaller than the "

@@ -41,7 +41,8 @@
 //
 // Validation: a request the service can tell is malformed at submit (an
 // unknown model, a region box outside the model, a compress without a
-// tensor) is refused there with a typed Refusal and counted in
+// tensor or with a spec/order core::check_spec rejects) is refused there
+// with a typed Refusal and counted in
 // ServeStats::refused_invalid -- it never reaches a worker, so a bad
 // request cannot abort the process the other tenants share.
 
@@ -141,6 +142,7 @@ enum class Refusal {
   kUnknownModel,  // reconstruct against an unregistered or evicted model
   kBadRegion,     // region box arity, or a bound outside the model
   kNoTensor,      // compress request without an input tensor
+  kBadSpec,       // compress spec or mode order core::check_spec rejects
   kShedBudget,    // the admission budget is full
   kShedQueue,     // the queue is full (try_submit) or the service stopped
 };
@@ -176,7 +178,7 @@ struct ServeStats {
   std::uint64_t reconstruct_done = 0;
   std::uint64_t shed_budget = 0;  // refused by the admission controller
   std::uint64_t shed_queue = 0;   // refused by a full queue (try_submit)
-  std::uint64_t refused_invalid = 0;  // malformed: kBadRegion, kNoTensor
+  std::uint64_t refused_invalid = 0;  // kBadRegion, kNoTensor, kBadSpec
   std::size_t queue_high_water = 0;
   double in_flight_flops = 0;
   std::size_t model_count = 0;
@@ -330,6 +332,10 @@ class Service {
 
   CompressSubmission submit_compress(CompressRequest<T> req, bool blocking) {
     if (req.x == nullptr) return refuse_invalid(Refusal::kNoTensor);
+    // The same check the driver would abort on, before compress_cost
+    // prices (and indexes by) the spec and order.
+    if (core::check_spec(req.spec, req.opt.order, req.x->order()) != nullptr)
+      return refuse_invalid(Refusal::kBadSpec);
     auto task = std::make_unique<Task>();
     task->kind = Kind::kCompress;
     task->cost =

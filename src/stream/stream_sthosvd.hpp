@@ -262,9 +262,8 @@ StreamSthosvdResult<T> stream_sthosvd(
     const StreamOptions& opt = {}) {
   const std::size_t nmodes = src.dims().size();
   TUCKER_CHECK(nmodes >= 2, "stream_sthosvd: need at least two modes");
-  if (spec.is_fixed_rank())
-    TUCKER_CHECK(spec.ranks.size() == nmodes,
-                 "stream_sthosvd: fixed-rank spec needs one rank per mode");
+  const char* bad = core::check_spec(spec, {}, nmodes);
+  TUCKER_CHECK(bad == nullptr, bad);
   const std::size_t t = nmodes - 1;
   const std::size_t budget =
       opt.chunk_bytes != 0 ? opt.chunk_bytes : tune::stream_chunk_bytes();
@@ -337,19 +336,8 @@ StreamSthosvdResult<T> stream_sthosvd(
       core::ModeSvd<T> svd = core::mode_svd(
           resident, n, detail::resident_method(method),
           fixed ? spec.ranks[n] : index_t{0}, threshold_sq, opt.rand);
-      std::vector<T>& sig = res.mode_sigmas[n];
-      sig.resize(svd.sigma_sq.size());
-      for (std::size_t i = 0; i < sig.size(); ++i)
-        sig[i] = std::sqrt(svd.sigma_sq[i]);
-      const index_t r =
-          fixed ? std::min(spec.ranks[n], svd.u.cols())
-                : std::min(core::select_rank(svd.sigma_sq, threshold_sq),
-                           svd.u.cols());
-      res.ranks[n] = r;
-      blas::Matrix<T> u(resident.dim(n), r);
-      blas::copy(blas::MatView<const T>(
-                     svd.u.view().block(0, 0, resident.dim(n), r)),
-                 u.view());
+      blas::Matrix<T> u = core::take_mode(svd, spec, n, threshold_sq,
+                                          res.mode_sigmas[n], res.ranks[n]);
       tensor::Tensor<T> next;
       tensor::ttm_into(resident, n, blas::MatView<const T>(u.view().t()),
                        next);
@@ -389,15 +377,10 @@ StreamSthosvdResult<T> stream_sthosvd(
       auto svdt = core::svd_of_l(blas::Matrix<T>::from(blas::MatView<const T>(
                                      rfac.view().t())),
                                  core::SmallSvdBackend::kJacobi);
-      std::vector<T>& sig = res.mode_sigmas[t];
-      sig.resize(svdt.sigma_sq.size());
-      for (std::size_t i = 0; i < sig.size(); ++i)
-        sig[i] = std::sqrt(svdt.sigma_sq[i]);
-      const index_t r =
-          fixed ? std::min(spec.ranks[t], svdt.u.cols())
-                : std::min(core::select_rank(svdt.sigma_sq, threshold_sq),
-                           svdt.u.cols());
-      res.ranks[t] = r;
+      res.ranks[t] =
+          core::take_rank(svdt, spec, t, threshold_sq, res.mode_sigmas[t]);
+      const index_t r = res.ranks[t];
+      const std::vector<T>& sig = res.mode_sigmas[t];
 
       // P = V_r diag(1/sigma): U = A P spans the leading left subspace.
       blas::Matrix<T> p(c, r);
@@ -450,10 +433,7 @@ StreamSthosvdResult<T> stream_sthosvd(
           blas::Matrix<T> gs = tensor::gram_of_unfolding(slab, n);
           blas::axpy(m * m, T(1), gs.data(), 1, g.data(), 1);
         }
-        auto eig = la::tridiag_eig(blas::MatView<const T>(g.view()));
-        svd.sigma_sq.reserve(eig.lambda.size());
-        for (T lam : eig.lambda) svd.sigma_sq.push_back(std::abs(lam));
-        svd.u = std::move(eig.v);
+        svd = core::svd_of_gram(g);
       } else if (method == core::SvdMethod::kRand) {
         // Per-chunk sketch (Minster/Li/Ballard), low-rank factors merged
         // as scaled bases: L L^T accumulates sum_c U_c S_c^2 U_c^T.
@@ -466,9 +446,7 @@ StreamSthosvdResult<T> stream_sthosvd(
           // Per-chunk energy budget eps^2 ||slab||^2 / N: the chunk
           // budgets sum to the mode's global budget.
           const double chunk_thr =
-              fixed ? 0.0
-                    : spec.epsilon * spec.epsilon * snorm /
-                          static_cast<double>(nmodes);
+              core::mode_threshold_sq(spec, snorm, nmodes);
           auto cs = core::rand_svd(slab, n,
                                    fixed ? spec.ranks[n] : index_t{0},
                                    chunk_thr, opt.rand);
@@ -497,22 +475,12 @@ StreamSthosvdResult<T> stream_sthosvd(
       }
       out.slabs_read += cur->num_slabs();
     }
-    if (pos == 0 && !fixed)
-      threshold_sq = spec.epsilon * spec.epsilon * res.norm_squared /
-                     static_cast<double>(nmodes);
+    if (pos == 0)
+      threshold_sq = core::mode_threshold_sq(spec, res.norm_squared, nmodes);
 
-    std::vector<T>& sig = res.mode_sigmas[n];
-    sig.resize(svd.sigma_sq.size());
-    for (std::size_t i = 0; i < sig.size(); ++i)
-      sig[i] = std::sqrt(svd.sigma_sq[i]);
-    const index_t r =
-        fixed ? std::min(spec.ranks[n], svd.u.cols())
-              : std::min(core::select_rank(svd.sigma_sq, threshold_sq),
-                         svd.u.cols());
-    res.ranks[n] = r;
-    blas::Matrix<T> u(m, r);
-    blas::copy(blas::MatView<const T>(svd.u.view().block(0, 0, m, r)),
-               u.view());
+    blas::Matrix<T> u = core::take_mode(svd, spec, n, threshold_sq,
+                                        res.mode_sigmas[n], res.ranks[n]);
+    const index_t r = res.ranks[n];
 
     // Truncation pass: Y <- Y x_n U^T, slab in / repacked slab out. The
     // output grid is re-sized to the budget, so slabs widen as Y shrinks.
@@ -593,9 +561,8 @@ class StreamingTucker {
     const tensor::Dims dims = src.dims();
     const std::size_t nmodes = dims.size();
     TUCKER_CHECK(nmodes >= 2, "StreamingTucker: need at least two modes");
-    if (spec.is_fixed_rank())
-      TUCKER_CHECK(spec.ranks.size() == nmodes,
-                   "StreamingTucker: fixed-rank spec needs one rank per mode");
+    const char* bad = core::check_spec(spec, {}, nmodes);
+    TUCKER_CHECK(bad == nullptr, bad);
     const std::size_t t = nmodes - 1;
 
     StreamingTucker st;
@@ -716,62 +683,30 @@ class StreamingTucker {
   /// SthosvdResult::estimated_relative_error; the trailing mode's sigmas
   /// are those of the projected tensor, which only tightens the bound).
   double estimated_relative_error() const {
-    double tail = 0;
-    for (std::size_t n = 0; n < sigmas_.size(); ++n)
-      for (std::size_t i = static_cast<std::size_t>(ranks_[n]);
-           i < sigmas_[n].size(); ++i)
-        tail += static_cast<double>(sigmas_[n][i]) *
-                static_cast<double>(sigmas_[n][i]);
-    return norm_sq_ > 0 ? std::sqrt(tail / norm_sq_) : 0.0;
+    return core::tail_relative_error(sigmas_, ranks_, norm_sq_);
   }
 
  private:
   StreamingTucker() = default;
 
-  double threshold_sq() const {
-    return spec_.is_fixed_rank()
-               ? 0.0
-               : spec_.epsilon * spec_.epsilon * norm_sq_ /
-                     static_cast<double>(tri_.size());
+  /// Takes mode n's factor from its SVD (the shared take-mode step).
+  void take(const core::ModeSvd<T>& svd, std::size_t n) {
+    tk_.factors[n] = core::take_mode(
+        svd, spec_, n, core::mode_threshold_sq(spec_, norm_sq_, tri_.size()),
+        sigmas_[n], ranks_[n]);
   }
 
   /// SVD of mode n's persistent triangle -> sigmas, rank, factor.
   void refresh_basis(std::size_t n) {
-    auto svd = core::svd_of_l(tri_[n], core::SmallSvdBackend::kAuto);
-    sigmas_[n].resize(svd.sigma_sq.size());
-    for (std::size_t i = 0; i < sigmas_[n].size(); ++i)
-      sigmas_[n][i] = std::sqrt(svd.sigma_sq[i]);
-    const index_t r =
-        spec_.is_fixed_rank()
-            ? std::min(spec_.ranks[n], svd.u.cols())
-            : std::min(core::select_rank(svd.sigma_sq, threshold_sq()),
-                       svd.u.cols());
-    ranks_[n] = r;
-    blas::Matrix<T> u(tri_[n].rows(), r);
-    blas::copy(
-        blas::MatView<const T>(svd.u.view().block(0, 0, tri_[n].rows(), r)),
-        u.view());
-    tk_.factors[n] = std::move(u);
+    take(core::svd_of_l(tri_[n], core::SmallSvdBackend::kAuto), n);
   }
 
   /// Trailing-mode QR-SVD of the projected tensor + the new core.
   void refresh_trailing(tensor::Tensor<T> g) {
     const std::size_t t = tri_.size() - 1;
-    auto svd = core::qr_svd(g, t);
-    sigmas_[t].resize(svd.sigma_sq.size());
-    for (std::size_t i = 0; i < sigmas_[t].size(); ++i)
-      sigmas_[t][i] = std::sqrt(svd.sigma_sq[i]);
-    const index_t r =
-        spec_.is_fixed_rank()
-            ? std::min(spec_.ranks[t], svd.u.cols())
-            : std::min(core::select_rank(svd.sigma_sq, threshold_sq()),
-                       svd.u.cols());
-    ranks_[t] = r;
-    blas::Matrix<T> u(g.dim(t), r);
-    blas::copy(blas::MatView<const T>(svd.u.view().block(0, 0, g.dim(t), r)),
-               u.view());
-    tensor::ttm_into(g, t, blas::MatView<const T>(u.view().t()), tk_.core);
-    tk_.factors[t] = std::move(u);
+    take(core::qr_svd(g, t), t);
+    tensor::ttm_into(g, t, blas::MatView<const T>(tk_.factors[t].view().t()),
+                     tk_.core);
   }
 
   core::TruncationSpec spec_;

@@ -70,16 +70,15 @@ class PrepackedFactor {
 };
 
 /// Y = X x_n U from a factor staged in a PrepackedFactor. Bitwise
-/// identical to ttm_into(x, n, pf.plain(), y, accum) under either engine
-/// and at every thread width; when the packed engine is active and the
-/// cached panel applies (mode n >= 1, tall factor) the per-call pack_a is
-/// skipped -- the entire point of the cache.
+/// identical to ttm_into(x, n, pf.plain(), y, accum) at every thread width;
+/// when the cached panel applies (mode n >= 1, tall factor) the per-call
+/// pack_a is skipped -- the entire point of the cache.
 template <class T>
 void ttm_prepacked_into(const Tensor<T>& x, std::size_t n,
                         const PrepackedFactor<T>& pf, Tensor<T>& y,
                         Accum accum = Accum::kNative) {
   TUCKER_CHECK(pf.staged(), "ttm_prepacked_into: factor not staged");
-  if (n == 0 || pf.panel() == nullptr || ttm_engine() != TtmEngine::kPacked) {
+  if (n == 0 || pf.panel() == nullptr) {
     ttm_into(x, n, pf.plain(), y, accum);
     return;
   }
@@ -105,7 +104,7 @@ void ttm_prepacked_into(const Tensor<T>& x, std::size_t n,
 /// *ys[i], accum) at every thread width and for every batch composition --
 /// the fused sweep only re-partitions work units, never per-element
 /// accumulation chains. Shapes the cached panel cannot serve (mode 0, no
-/// panel, reference engine) fall back to the per-item call.
+/// panel) fall back to the per-item call.
 template <class T>
 void ttm_packed_multi_into(const std::vector<const Tensor<T>*>& xs,
                            std::size_t n, const PrepackedFactor<T>& pf,
@@ -115,7 +114,7 @@ void ttm_packed_multi_into(const std::vector<const Tensor<T>*>& xs,
   TUCKER_CHECK(xs.size() == ys.size(),
                "ttm_packed_multi_into: xs/ys size mismatch");
   if (xs.empty()) return;
-  if (n == 0 || pf.panel() == nullptr || ttm_engine() != TtmEngine::kPacked) {
+  if (n == 0 || pf.panel() == nullptr) {
     for (std::size_t i = 0; i < xs.size(); ++i)
       ttm_prepacked_into(*xs[i], n, pf, *ys[i], accum);
     return;

@@ -55,7 +55,7 @@ constexpr index_t kSketchPanel = 128;
 enum class SketchPayload { kNative, kHalf };
 
 /// Active sketch payload. Defaults once from TUCKER_SKETCH_HALF; mutable at
-/// runtime (same idiom as ttm_engine / kernel_variant) so tests and benches
+/// runtime (same idiom as kernel_variant) so tests and benches
 /// can flip payloads within one binary. Not meant to change mid-sketch.
 inline SketchPayload& sketch_payload() {
   static SketchPayload p = tune::sketch_half_default() ? SketchPayload::kHalf

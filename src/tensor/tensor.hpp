@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -28,6 +29,19 @@ inline index_t num_elements(const Dims& dims) {
   index_t p = 1;
   for (index_t d : dims) p *= d;
   return p;
+}
+
+/// num_elements for untrusted dims (file headers): the element count, or -1
+/// when a dim is negative or count * elem_bytes would overflow index_t --
+/// so callers can size a payload in bytes without overflowing either.
+inline index_t checked_num_elements(const Dims& dims, index_t elem_bytes = 1) {
+  index_t p = elem_bytes;
+  for (index_t d : dims) {
+    if (d < 0 || (d != 0 && p > std::numeric_limits<index_t>::max() / d))
+      return -1;
+    p *= d;
+  }
+  return p / elem_bytes;
 }
 
 /// Product of dimensions before mode n (I_n^< in the paper).

@@ -3,21 +3,23 @@
 //
 // This is the truncation kernel of ST-HOSVD (line 7 of Alg 1, applied with
 // U_n^T) and the reconstruction kernel of a Tucker tensor. Two engines
-// compute it, selectable at runtime like the micro-kernel variant switch:
+// compute it:
 //
-//  - kPacked (default): stages the factor matrix contiguously in the
-//    Workspace arena exactly once and reuses it across every unfolding
-//    block. Short-fat factors (R <= kTtmAxpyMaxR, the truncation case) run
-//    the packing-free ttm_cols/mode-0 kernels of microkernel.hpp, which stream
-//    X once instead of copying it into B panels; taller factors run
+//  - packed (detail::ttm_packed_into, the one ttm_into runs): stages the
+//    factor matrix contiguously in the Workspace arena exactly once and
+//    reuses it across every unfolding block. Short-fat factors
+//    (R <= kTtmAxpyMaxR, the truncation case) run the packing-free
+//    ttm_cols/mode-0 kernels of microkernel.hpp, which stream X once
+//    instead of copying it into B panels; taller factors run
 //    gemm_prepacked_a, which skips only the per-block re-pack of U.
 //    Threading picks block-level fanout when there are enough unfolding
 //    blocks and splits unfolding columns otherwise, gated by the same flop
 //    threshold as gemm.
-//  - kReference: one gemm per unfolding block and a transposed gemm for the
-//    column-major mode-0 unfolding -- the same design as TuckerMPI's TTM
-//    kernel [6, Alg 3], kept as the oracle the equivalence tests compare
-//    against.
+//  - reference (detail::ttm_reference_into): one gemm per unfolding block
+//    and a transposed gemm for the column-major mode-0 unfolding -- the
+//    same design as TuckerMPI's TTM kernel [6, Alg 3], kept as the oracle
+//    that the equivalence tests and the micro_kernels TTM sweep call
+//    directly.
 //
 // The engines are bitwise identical: every Y element starts from zero and
 // accumulates one `y += u * x` per k step in ascending k order in both, so
@@ -34,8 +36,6 @@
 // and differ only in spill roundings beyond that. Each engine individually
 // remains bitwise thread/variant/partition-invariant at any k.
 
-#include <cstdlib>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -47,21 +47,6 @@
 #include "tensor/tensor.hpp"
 
 namespace tucker::tensor {
-
-enum class TtmEngine { kPacked, kReference };
-
-/// Active TTM engine. Defaults to packed; TUCKER_TTM_ENGINE=reference
-/// restores the per-block gemm path. Tests and benches flip it at runtime
-/// to compare the two within one binary (not meant to be flipped while TTM
-/// calls are in flight).
-inline TtmEngine& ttm_engine() {
-  static TtmEngine e = [] {
-    if (const char* s = std::getenv("TUCKER_TTM_ENGINE"))
-      if (std::string_view(s) == "reference") return TtmEngine::kReference;
-    return TtmEngine::kPacked;
-  }();
-  return e;
-}
 
 namespace detail {
 
@@ -406,20 +391,10 @@ void ttm_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   y.reshape_mode_of(x, n, u.rows());
   if (y.size() == 0 || x.size() == 0) return;
 
-  auto run = [&]<class TA>(std::type_identity<TA>) {
-    switch (ttm_engine()) {
-      case TtmEngine::kPacked:
-        detail::ttm_packed_into<T, TA>(x, n, u, y);
-        break;
-      case TtmEngine::kReference:
-        detail::ttm_reference_into<T, TA>(x, n, u, y);
-        break;
-    }
-  };
   if (accum == Accum::kWide) {
-    run(std::type_identity<wide_t<T>>{});
+    detail::ttm_packed_into<T, wide_t<T>>(x, n, u, y);
   } else {
-    run(std::type_identity<T>{});
+    detail::ttm_packed_into<T, T>(x, n, u, y);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -102,6 +103,61 @@ TEST(TensorIoTest, TryReadReportsShortFileWithByteCounts) {
 
   auto missing = io::try_read_tensor<double>(path);
   EXPECT_EQ(missing.status, io::IoStatus::kOpenFailed);
+}
+
+/// Overwrites header words from byte `offset` on (the self-describing
+/// formats put their dims after the 8-byte magic, 4-byte dtype and 4-byte
+/// order, i.e. at offset 16).
+void patch_header(const std::string& path, long offset,
+                  const std::vector<std::uint64_t>& words) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, offset, SEEK_SET);
+  std::fwrite(words.data(), sizeof(std::uint64_t), words.size(), f);
+  std::fclose(f);
+}
+
+TEST(TensorIoTest, CheckedNumElementsKnownAnswers) {
+  EXPECT_EQ(tensor::checked_num_elements({2, 3, 4}), 24);
+  EXPECT_EQ(tensor::checked_num_elements({}), 1);
+  EXPECT_EQ(tensor::checked_num_elements({0, index_t{1} << 62}), 0);
+  EXPECT_EQ(tensor::checked_num_elements({3, -1}), -1);
+  EXPECT_EQ(tensor::checked_num_elements({index_t{1} << 32,
+                                          index_t{1} << 32}),
+            -1);
+  // The byte size must fit too: 2^59 doubles do, 2^60 do not.
+  EXPECT_EQ(tensor::checked_num_elements({index_t{1} << 59}, 8),
+            index_t{1} << 59);
+  EXPECT_EQ(tensor::checked_num_elements({index_t{1} << 60}, 8), -1);
+}
+
+TEST(TensorIoTest, TryReadRejectsOverflowingAndNegativeDims) {
+  auto x = data::random_tensor<double>({4, 3}, 19);
+  const auto path = tmp_path("dims.tkt");
+  const std::vector<std::vector<std::uint64_t>> headers = {
+      {1ull << 32, 1ull << 32},  // 2^64 elements: the product overflows
+      {1ull << 31, 1ull << 30},  // 2^61 elements: the byte size overflows
+      {(1ull << 63) + 4, 3},     // negative once read as a signed dim
+  };
+  for (const auto& dims : headers) {
+    io::write_tensor(path, x);
+    patch_header(path, 16, dims);
+    auto r = io::try_read_tensor<double>(path);
+    EXPECT_EQ(r.status, io::IoStatus::kBadHeader) << dims[0];
+    EXPECT_EQ(r.value.size(), 0);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TuckerIoDeathTest, OverflowingContainerHeaderRejected) {
+  auto x = data::random_tensor<double>({6, 5, 4}, 20);
+  auto res = core::sthosvd(x, core::TruncationSpec::fixed_ranks({2, 2, 2}),
+                           core::SvdMethod::kQr);
+  const auto path = tmp_path("overflow.tkd");
+  io::write_tucker(path, res.tucker);
+  patch_header(path, 16, {1ull << 62, 1ull << 62});  // factor 0: rows, cols
+  EXPECT_DEATH((void)io::read_tucker<double>(path), "header dims overflow");
+  std::remove(path.c_str());
 }
 
 TEST(TensorIoDeathTest, TruncatedFileRejected) {

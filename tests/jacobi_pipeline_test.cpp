@@ -227,14 +227,8 @@ TEST(JacobiPipelineTest, RankDeficientTriangleFromLowRankMatrix) {
 //
 // svd_of_l's default backend is kAuto: classic Golub-Kahan everywhere --
 // never a function of the thread width, which would break the repo-wide
-// bitwise-across-TUCKER_NUM_THREADS guarantee -- unless TUCKER_SMALL_SVD /
-// core::small_svd_mode() forces a side. These tests pin the dispatch
-// bitwise against the explicit backends on both sides of the knob.
-
-struct ModeGuard {
-  core::SmallSvdMode saved = core::small_svd_mode();
-  ~ModeGuard() { core::small_svd_mode() = saved; }
-};
+// bitwise-across-TUCKER_NUM_THREADS guarantee. This test pins the dispatch
+// bitwise against the explicit backend.
 
 template <class T>
 void expect_same_mode_svd(const core::ModeSvd<T>& got,
@@ -255,8 +249,6 @@ void expect_same_mode_svd(const core::ModeSvd<T>& got,
 
 TEST(SmallSvdDispatchTest, UnpinnedAutoIsClassicAtEveryWidth) {
   ThreadsGuard tg;
-  ModeGuard mg;
-  core::small_svd_mode() = core::SmallSvdMode::kAuto;
   auto l = random_tall<double>(24, 24, 111);
   for (int threads : {1, 2, 7}) {
     parallel::set_max_threads(threads);
@@ -265,30 +257,6 @@ TEST(SmallSvdDispatchTest, UnpinnedAutoIsClassicAtEveryWidth) {
         core::svd_of_l(l, core::SmallSvdBackend::kGolubKahan),
         "unpinned auto == Golub-Kahan regardless of width");
   }
-}
-
-TEST(SmallSvdDispatchTest, ClassicModeOverridesWidth) {
-  ThreadsGuard tg;
-  ModeGuard mg;
-  core::small_svd_mode() = core::SmallSvdMode::kClassic;
-  parallel::set_max_threads(7);
-  auto l = random_tall<double>(20, 20, 113);
-  expect_same_mode_svd(
-      core::svd_of_l(l, core::SmallSvdBackend::kAuto),
-      core::svd_of_l(l, core::SmallSvdBackend::kGolubKahan),
-      "classic override beats width");
-}
-
-TEST(SmallSvdDispatchTest, PipelinedModeOverridesWidth) {
-  ThreadsGuard tg;
-  ModeGuard mg;
-  core::small_svd_mode() = core::SmallSvdMode::kPipelined;
-  parallel::set_max_threads(1);
-  auto l = random_tall<double>(20, 20, 114);
-  expect_same_mode_svd(
-      core::svd_of_l(l, core::SmallSvdBackend::kAuto),
-      core::svd_of_l(l, core::SmallSvdBackend::kJacobiPipelined),
-      "pipelined override beats width");
 }
 
 }  // namespace

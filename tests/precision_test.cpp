@@ -57,11 +57,6 @@ struct VariantGuard {
   ~VariantGuard() { blas::detail::kernel_variant() = prev; }
 };
 
-struct EngineGuard {
-  tensor::TtmEngine prev = tensor::ttm_engine();
-  ~EngineGuard() { tensor::ttm_engine() = prev; }
-};
-
 // ------------------------------------------------ binary16 conversion
 
 TEST(HalfTest, RoundTripsExactlyRepresentableValues) {
@@ -262,7 +257,6 @@ TEST(WideAccumTest, TtmEnginesAgreeBitwiseWithinOneKBlock) {
   // exactly one storage rounding per element, so they agree bitwise -- on
   // every mode, at every thread width.
   ThreadsGuard tg;
-  EngineGuard eg;
   tensor::Tensor<float> x({24, 18, 20});
   Rng rng(25);
   for (index_t i = 0; i < x.size(); ++i)
@@ -276,19 +270,25 @@ TEST(WideAccumTest, TtmEnginesAgreeBitwiseWithinOneKBlock) {
         u(i, j) = static_cast<float>(urng.normal<double>());
 
     tensor::Tensor<float> ref;
-    for (auto engine :
-         {tensor::TtmEngine::kPacked, tensor::TtmEngine::kReference}) {
+    for (bool reference : {false, true}) {
       for (int threads : {1, 2, 7}) {
         parallel::set_max_threads(threads);
-        tensor::ttm_engine() = engine;
         tensor::Tensor<float> y;
-        tensor::ttm_into(x, mode, u.cview(), y, Accum::kWide);
+        y.reshape_mode_of(x, mode, u.rows());
+        // The engines' wide (Accum::kWide) instantiations.
+        if (reference) {
+          tensor::detail::ttm_reference_into<float, wide_t<float>>(
+              x, mode, u.cview(), y);
+        } else {
+          tensor::detail::ttm_packed_into<float, wide_t<float>>(
+              x, mode, u.cview(), y);
+        }
         if (ref.size() == 0) {
           ref = std::move(y);
           continue;
         }
         EXPECT_TRUE(bitwise_equal(y, ref))
-            << "engine=" << static_cast<int>(engine) << " mode=" << mode
+            << "reference=" << reference << " mode=" << mode
             << " threads=" << threads;
       }
     }

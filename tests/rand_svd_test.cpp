@@ -2,10 +2,12 @@
 // kRand): fixed-rank accuracy against the exact QR-SVD, tolerance mode
 // meeting its error budget through adaptive oversampling, bitwise
 // determinism across thread-pool widths and across simmpi grid shapes, the
-// incremental-extension property of the counter-based sketch, the flop
-// credit of the sketch kernel, and arena reuse. Also pins the select_rank
-// R >= 1 contract on empty input (regression) and the exhaustive
-// method_name switch.
+// incremental-extension property of the counter-based sketch and the
+// Gaussian generator behind it, the flop credit of the sketch kernel, and
+// arena reuse; exact low-rank recovery, fixed-rank error against QR-SVD and
+// the cost advantage over Gram-SVD, sequential and distributed. Also pins
+// the select_rank R >= 1 contract on empty input (regression) and the
+// exhaustive method_name switch.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "common/workspace.hpp"
 #include "core/par_sthosvd.hpp"
 #include "core/sthosvd.hpp"
+#include "data/synthetic_matrix.hpp"
 #include "data/synthetic_tensor.hpp"
 #include "simmpi/runtime.hpp"
 #include "tensor/sketch.hpp"
@@ -26,6 +29,7 @@ namespace {
 
 using tucker::blas::index_t;
 using tucker::blas::Matrix;
+using tucker::blas::MatView;
 using tucker::core::RandSvdOptions;
 using tucker::core::SvdMethod;
 using tucker::core::TruncationSpec;
@@ -110,6 +114,73 @@ TEST(RandSvdTest, FixedRankMatchesQrDouble) {
 
 TEST(RandSvdTest, FixedRankMatchesQrSingle) {
   expect_fixed_rank_matches_qr<float>(1e-3);
+}
+
+// -------------------------------------------- low rank, error and cost
+
+/// x = core x_0 U0 with an orthonormal 12 x 3 U0: rank 3 in mode 0.
+Tensor<double> mode0_rank3(const Dims& rest, std::uint64_t seed) {
+  tucker::Rng rng(seed);
+  Dims cdims{3};
+  cdims.insert(cdims.end(), rest.begin(), rest.end());
+  auto core = tucker::data::random_tensor<double>(cdims, seed + 1);
+  auto u0 = tucker::data::random_orthonormal(12, 3, rng);
+  return tucker::tensor::ttm(core, 0, MatView<const double>(u0.view()));
+}
+
+/// ||x - x x_0 (U U^T)|| / ||x|| for the leading `r` columns of svd.u.
+double mode0_projection_residual(const Tensor<double>& x,
+                                 const tucker::core::ModeSvd<double>& svd,
+                                 index_t r) {
+  std::vector<double> sig;
+  index_t rank = 0;
+  auto u = tucker::core::take_mode(
+      svd, TruncationSpec::fixed_ranks({r, x.dim(1), x.dim(2)}), 0, 0.0, sig,
+      rank);
+  auto y = tucker::tensor::ttm(x, 0, MatView<const double>(u.view().t()));
+  auto back = tucker::tensor::ttm(y, 0, MatView<const double>(u.view()));
+  double diff = 0;
+  for (index_t i = 0; i < x.size(); ++i) {
+    const double d = x.data()[i] - back.data()[i];
+    diff += d * d;
+  }
+  return std::sqrt(diff / x.norm_squared());
+}
+
+TEST(RandomizedSvdTest, RecoversExactLowRankSubspace) {
+  // The leading 3 sketched vectors must span the exact rank-3 range.
+  auto x = mode0_rank3({8, 7}, 401);
+  auto rsvd = tucker::core::rand_svd(x, 0, 3, 0.0);
+  EXPECT_GE(rsvd.u.cols(), 3);
+  EXPECT_LE(mode0_projection_residual(x, rsvd, 3), 1e-10);
+}
+
+TEST(RandomizedSvdTest, FixedRankSthosvdComparableToQr) {
+  auto x = tucker::data::tensor_with_spectra(
+      {14, 12, 10}, {tucker::data::DecayProfile::geometric(1, 1e-4),
+                     tucker::data::DecayProfile::geometric(1, 1e-4),
+                     tucker::data::DecayProfile::geometric(1, 1e-4)},
+      407);
+  const auto spec = TruncationSpec::fixed_ranks({5, 5, 5});
+  auto qr = tucker::core::sthosvd(x, spec, SvdMethod::kQr);
+  auto rnd = tucker::core::sthosvd(x, spec, SvdMethod::kRand);
+  EXPECT_EQ(rnd.tucker.core.dims(), (Dims{5, 5, 5}));
+  // Oversampling + one power iteration stays within a modest factor of
+  // the deterministic error.
+  EXPECT_LE(tucker::core::relative_error(x, rnd.tucker),
+            3 * tucker::core::relative_error(x, qr.tucker) + 1e-12);
+}
+
+TEST(RandomizedSvdTest, CheaperThanGramForSmallRank) {
+  // Sketch width w = 3 + 8 against a 128-row unfolding: O(m cols w)
+  // sketch and projection work undercuts the O(m^2 cols) Gram.
+  auto x = tucker::data::random_tensor<double>({128, 12, 12}, 409);
+  tucker::reset_thread_flops();
+  (void)tucker::core::rand_svd(x, 0, 3, 0.0);
+  const auto rand_flops = tucker::thread_flops();
+  tucker::reset_thread_flops();
+  (void)tucker::core::gram_svd(x, 0);
+  EXPECT_LT(rand_flops, tucker::thread_flops());
 }
 
 // ------------------------------------------------------- tolerance contract
@@ -247,7 +318,105 @@ TEST(ParRandSvdTest, FixedRankHonoredOnGrid) {
   });
 }
 
+TEST(ParRandomizedSvdTest, ExactLowRankSubspaceRecovered) {
+  auto x = mode0_rank3({6, 5}, 6001);
+  tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {
+    DistTensor<double> dt(world, ProcessorGrid({2, 2, 1}), x.dims());
+    dt.fill_from(x);
+    auto rsvd = tucker::dist::par_rand_svd(dt, 0, 3, 0.0, 8, 1, 0x5eed, 0,
+                                           "mode0");
+    if (world.rank() == 0) {
+      EXPECT_GE(rsvd.u.cols(), 3);
+      EXPECT_LE(mode0_projection_residual(x, rsvd, 3), 1e-10);
+    }
+  });
+}
+
+TEST(ParRandomizedSvdTest, ReplicatedIdenticallyAcrossRanksAndGrids) {
+  auto x = tucker::data::tensor_with_spectra(
+      {8, 7, 6}, {tucker::data::DecayProfile::geometric(1, 1e-3),
+                  tucker::data::DecayProfile::geometric(1, 1e-3),
+                  tucker::data::DecayProfile::geometric(1, 1e-3)},
+      6003);
+  // The same seed draws the same Omega on every grid, so the sketched
+  // spectra agree up to reduction-order rounding.
+  auto spectrum = [&](const Dims& gdims) {
+    std::vector<double> sig;
+    tucker::mpi::Runtime::run(
+        ProcessorGrid(gdims).total(), [&](tucker::mpi::Comm& world) {
+          DistTensor<double> dt(world, ProcessorGrid(gdims), x.dims());
+          dt.fill_from(x);
+          auto r = tucker::dist::par_rand_svd(dt, 1, 4, 0.0, 4, 1, 99, 0,
+                                              "mode1");
+          if (world.rank() == 0) sig = r.sigma_sq;
+        });
+    return sig;
+  };
+  const auto sig_a = spectrum({2, 2, 1});
+  const auto sig_b = spectrum({1, 2, 1});
+  ASSERT_EQ(sig_a.size(), sig_b.size());
+  for (std::size_t i = 0; i < sig_a.size(); ++i)
+    EXPECT_NEAR(sig_a[i], sig_b[i], 1e-9 * (sig_a[0] + 1e-30)) << "i=" << i;
+}
+
+TEST(ParRandomizedSthosvdTest, ErrorComparableToDeterministic) {
+  auto x = tucker::data::tensor_with_spectra(
+      {12, 10, 8}, {tucker::data::DecayProfile::geometric(1, 1e-4),
+                    tucker::data::DecayProfile::geometric(1, 1e-4),
+                    tucker::data::DecayProfile::geometric(1, 1e-4)},
+      6004);
+  const auto spec = TruncationSpec::fixed_ranks({4, 4, 4});
+  auto det = tucker::core::sthosvd(x, spec, SvdMethod::kQr);
+  const double det_err = tucker::core::relative_error(x, det.tucker);
+  tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {
+    DistTensor<double> dt(world, ProcessorGrid({2, 1, 2}), x.dims());
+    dt.fill_from(x);
+    auto rnd = tucker::core::par_sthosvd(dt, spec, SvdMethod::kRand);
+    EXPECT_EQ(rnd.core.global_dims(), (Dims{4, 4, 4}));
+    auto tk = rnd.gather_to_root();
+    if (world.rank() == 0) {
+      EXPECT_LE(tucker::core::relative_error(x, tk), 3 * det_err + 1e-12);
+    }
+  });
+}
+
+TEST(ParRandomizedSthosvdTest, BackwardOrderWorks) {
+  auto x = tucker::data::random_tensor<double>({8, 6, 6, 4}, 6005);
+  tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {
+    DistTensor<double> dt(world, ProcessorGrid({2, 2, 1, 1}), x.dims());
+    dt.fill_from(x);
+    auto rnd = tucker::core::par_sthosvd(
+        dt, TruncationSpec::fixed_ranks({3, 3, 3, 2}), SvdMethod::kRand,
+        tucker::core::backward_order(4));
+    EXPECT_EQ(rnd.core.global_dims(), (Dims{3, 3, 3, 2}));
+    for (std::size_t n = 0; n < 4; ++n) {
+      EXPECT_EQ(rnd.factors[n].rows(), x.dim(n));
+      EXPECT_EQ(rnd.factors[n].cols(), rnd.ranks[n]);
+    }
+  });
+}
+
 // --------------------------------------------------- sketch kernel props
+
+TEST(HashNormalTest, DeterministicAcrossCalls) {
+  using tucker::hash_normal;
+  EXPECT_EQ(hash_normal(1, 2, 3), hash_normal(1, 2, 3));
+  EXPECT_NE(hash_normal(1, 2, 3), hash_normal(1, 2, 4));
+  EXPECT_NE(hash_normal(1, 2, 3), hash_normal(2, 2, 3));
+}
+
+TEST(HashNormalTest, ApproximatelyStandardNormal) {
+  double sum = 0, sumsq = 0;
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    const double v =
+        tucker::hash_normal(42, static_cast<std::uint64_t>(i), 7);
+    sum += v;
+    sumsq += v * v;
+  }
+  EXPECT_NEAR(sum / n, 0.0, 0.03);
+  EXPECT_NEAR(sumsq / n, 1.0, 0.05);
+}
 
 TEST(SketchTest, IncrementalExtensionIsBitwiseConsistent) {
   // Sketching [0, w) in one shot equals sketching [0, w/2) then appending

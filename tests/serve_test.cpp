@@ -352,6 +352,49 @@ TEST(Service, BadRegionRefusedAtSubmitAndServiceKeepsServing) {
   EXPECT_EQ(st.in_flight_flops, 0.0);
 }
 
+// A compress whose spec or mode order core::check_spec rejects is refused
+// at submit with kBadSpec: before compress_cost could abort on it (rank
+// arity), index out of bounds with it (order entry >= N) or hand a worker a
+// decomposition with a 0-row factor (repeated order entry). Requests on
+// either side are answered as usual.
+TEST(Service, BadCompressSpecRefusedAtSubmitAndServiceKeepsServing) {
+  auto x = std::make_shared<Tensor<double>>(
+      data::random_tensor<double>({14, 12, 10}, 29));
+  const auto spec = core::TruncationSpec::fixed_ranks({4, 4, 4});
+  const auto direct = core::sthosvd(*x, spec, core::SvdMethod::kQr);
+  serve::Service<double> svc(serve::ServeOptions{1, 8, -1, true});
+  auto compress = [&](core::TruncationSpec sp,
+                      std::vector<std::size_t> order) {
+    serve::CompressRequest<double> req;
+    req.x = x;
+    req.spec = std::move(sp);
+    req.opt.order = std::move(order);
+    return svc.submit(std::move(req));
+  };
+
+  auto f1 = compress(spec, {});
+  ASSERT_TRUE(f1.has_value());
+  EXPECT_EQ(fingerprint(f1->get().result), fingerprint(direct));
+
+  auto short_ranks = compress(core::TruncationSpec::fixed_ranks({4, 4}), {});
+  auto repeated = compress(spec, {0, 0, 1});
+  auto out_of_range = compress(spec, {0, 1, 7});
+  for (auto* f : {&short_ranks, &repeated, &out_of_range}) {
+    EXPECT_FALSE(f->has_value());
+    EXPECT_EQ(f->refusal(), serve::Refusal::kBadSpec);
+  }
+
+  auto f2 = compress(spec, {});
+  ASSERT_TRUE(f2.has_value());
+  EXPECT_EQ(fingerprint(f2->get().result), fingerprint(direct));
+
+  svc.stop();
+  const auto st = svc.stats();
+  EXPECT_EQ(st.refused_invalid, 3u);
+  EXPECT_EQ(st.compress_done, 2u);
+  EXPECT_EQ(st.in_flight_flops, 0.0);
+}
+
 // The headline determinism contract: every response is bitwise identical
 // whatever the worker count and whatever order the batch was enqueued in.
 TEST(Service, ResponsesBitwiseAcrossWorkerCountsAndInterleavings) {

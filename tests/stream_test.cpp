@@ -232,6 +232,31 @@ TEST(ChunkedIoTest, TryOpenReportsTypedErrors) {
   std::remove(path.c_str());
 }
 
+TEST(ChunkedIoTest, TryOpenRejectsOverflowingAndNegativeHeader) {
+  auto x = data::random_tensor<double>({4, 3, 4}, 15);
+  const auto path = tmp_path("chunk_dims.tkc");
+  auto try_patched = [&](long offset, std::vector<std::uint64_t> words) {
+    io::write_chunked_tensor(path, x, 2);
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    std::fseek(f, offset, SEEK_SET);
+    std::fwrite(words.data(), sizeof(std::uint64_t), words.size(), f);
+    std::fclose(f);
+    return io::ChunkedTensorReader<double>::try_open(path).status;
+  };
+  // The dims follow the 8-byte magic, 4-byte dtype and 4-byte order.
+  EXPECT_EQ(try_patched(16, {1ull << 32, 1ull << 32, 4}),
+            io::IoStatus::kBadHeader);  // element count overflows
+  EXPECT_EQ(try_patched(16, {1ull << 30, 1ull << 30, 4}),
+            io::IoStatus::kBadHeader);  // byte size overflows
+  EXPECT_EQ(try_patched(16, {4, (1ull << 63) + 3, 4}),
+            io::IoStatus::kBadHeader);  // negative once read as signed
+  // slab_slices sits just before num_slabs: negative once read as signed.
+  const auto ss_at =
+      static_cast<long>(io::detail::chunked_num_slabs_offset(3)) - 8;
+  EXPECT_EQ(try_patched(ss_at, {(1ull << 63) + 2}), io::IoStatus::kBadHeader);
+  std::remove(path.c_str());
+}
+
 TEST(ChunkedIoDeathTest, AbortingOpenRejectsGarbage) {
   const auto path = tmp_path("chunk_garbage.tkc");
   std::FILE* f = std::fopen(path.c_str(), "wb");

@@ -7,9 +7,10 @@
 //  - the reference mode-0 staging of a fully strided factor view changes
 //    no bits;
 //  - greedy_order returns a permutation, is forward on isotropic cubes,
-//    and SthosvdOptions::auto_order does measurably fewer flops than
-//    forward order on an anisotropic tensor while reconstructing equally
-//    well.
+//    breaks ties by mode index, weighs the shrunken dims, never models
+//    more flops than forward/backward order, and SthosvdOptions::auto_order
+//    does measurably fewer flops than forward order on an anisotropic
+//    tensor while reconstructing equally well.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +32,10 @@ namespace {
 using blas::index_t;
 using tensor::Dims;
 using tensor::Tensor;
-using tensor::TtmEngine;
+
+/// The two TTM engines, called directly: ttm_into always runs the packed
+/// one, the reference one is the oracle.
+enum class TtmEngine { kPacked, kReference };
 
 /// Exactly-low-rank tensor: a random core expanded by random tall factors,
 /// so multilinear rank is bounded by `ranks` and a fixed-rank ST-HOSVD at
@@ -51,14 +55,17 @@ Tensor<double> low_rank_tensor(const Dims& dims,
   return y;
 }
 
-/// Runs ttm with the requested engine, leaving the previous engine in place.
+/// Runs ttm with the requested engine.
 template <class T>
 Tensor<T> run_engine(TtmEngine e, const Tensor<T>& x, std::size_t n,
                      blas::MatView<const T> u) {
-  const TtmEngine prev = tensor::ttm_engine();
-  tensor::ttm_engine() = e;
-  Tensor<T> y = tensor::ttm(x, n, u);
-  tensor::ttm_engine() = prev;
+  Tensor<T> y;
+  y.reshape_mode_of(x, n, u.rows());
+  if (e == TtmEngine::kPacked) {
+    tensor::detail::ttm_packed_into<T>(x, n, u, y);
+  } else {
+    tensor::detail::ttm_reference_into<T>(x, n, u, y);
+  }
   return y;
 }
 
@@ -111,7 +118,6 @@ class TtmEquivalence : public ::testing::Test {
  protected:
   void TearDown() override {
     parallel::set_max_threads(1);
-    tensor::ttm_engine() = TtmEngine::kPacked;
     blas::detail::kernel_variant() = TUCKER_SIMD
                                          ? blas::detail::KernelVariant::kSimd
                                          : blas::detail::KernelVariant::kScalar;
@@ -251,6 +257,64 @@ TEST_F(TtmEquivalence, ExplicitOrderOverridesAutoOrder) {
   opt.order = core::backward_order(3);
   auto res = core::sthosvd(x, spec, core::SvdMethod::kGram, opt);
   EXPECT_EQ(res.order, core::backward_order(3));
+}
+
+
+TEST(GreedyOrderTest, MostTruncatingModeFirst) {
+  auto order = core::greedy_order({10, 10, 10}, {1, 5, 2});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 1}));
+}
+
+TEST(GreedyOrderTest, TiesKeepModeOrder) {
+  // Fully symmetric problem: every step is a cost tie, which resolves to
+  // the lowest unprocessed mode, i.e. forward order.
+  auto order = core::greedy_order({10, 10, 10}, {5, 5, 5});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(GreedyOrderTest, CostModelWeighsShrunkenDims) {
+  // Modes 0 and 2 tie on the first step (lowest index wins); once mode 0
+  // has shrunk to rank 5, mode 2's unfolding is half as wide as mode 1's,
+  // so the flop model processes it next -- unlike a pure R/I ratio sort,
+  // which would keep storage order here.
+  auto order = core::greedy_order({10, 20, 10}, {5, 10, 5});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 1}));
+}
+
+TEST(GreedyOrderTest, ModeledFlopsMatchGreedyChoice) {
+  // The greedy order is never modeled as more expensive than forward or
+  // backward order on the same problem.
+  const Dims dims = {24, 12, 18};
+  const std::vector<index_t> ranks = {20, 3, 9};
+  const auto qr = core::SvdMethod::kQr;
+  auto greedy = core::greedy_order(dims, ranks, qr);
+  const double g = core::modeled_sthosvd_flops(dims, ranks, greedy, qr);
+  const double f = core::modeled_sthosvd_flops(dims, ranks,
+                                               core::forward_order(3), qr);
+  const double b = core::modeled_sthosvd_flops(dims, ranks,
+                                               core::backward_order(3), qr);
+  EXPECT_LE(g, f);
+  EXPECT_LE(g, b);
+}
+
+TEST(GreedyOrderTest, EmptyRanksFallsBackToForward) {
+  auto order = core::greedy_order({4, 5, 6}, {});
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(GreedyOrderTest, GreedyOrderReducesWork) {
+  // Processing the most-truncating mode first does no more flops than the
+  // reverse order for a fixed-rank decomposition.
+  auto x = data::random_tensor<double>({20, 20, 20}, 413);
+  const auto spec = core::TruncationSpec::fixed_ranks({2, 10, 18});
+  auto greedy = core::greedy_order({20, 20, 20}, {2, 10, 18});
+  reset_thread_flops();
+  (void)core::sthosvd(x, spec, core::SvdMethod::kQr, greedy);
+  const auto greedy_flops = thread_flops();
+  std::vector<std::size_t> reverse(greedy.rbegin(), greedy.rend());
+  reset_thread_flops();
+  (void)core::sthosvd(x, spec, core::SvdMethod::kQr, reverse);
+  EXPECT_LT(greedy_flops, thread_flops());
 }
 
 }  // namespace
