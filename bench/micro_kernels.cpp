@@ -414,7 +414,8 @@ void run_sweep(std::vector<SweepRow>& rows) {
 // U^T factors on an anisotropic tensor): one row per (mode, rank, engine,
 // thread width). `size` carries the rank; speedup_vs_ref is the
 // reference/packed time ratio (1.0 on reference rows). Written to
-// BENCH_ttm.json by --ttm-json and gated by --compare-ttm --fail-under.
+// BENCH_ttm.json by --ttm-json and gated by --compare-ttm --fail-under
+// (against the baseline) and by kTtmOracleFloor (against the same run).
 struct TtmRow {
   std::string kernel;  // "ttm<mode>_packed" / "ttm<mode>_ref"
   const char* precision;
@@ -625,8 +626,16 @@ int run_ttm_json(const std::string& path) {
   return 0;
 }
 
+// Same-run oracle floor of the TTM gate: a packed row below this fraction
+// of its interleaved reference row (speedup_vs_ref) fails the compare run
+// on any host. The absolute baseline ratio cannot see a packed kernel
+// losing to its own oracle on a machine unlike the one that recorded the
+// baseline; this ratio can.
+constexpr double kTtmOracleFloor = 2.0 / 3.0;
+
 // Same gate semantics as run_compare, against a BENCH_ttm.json baseline
-// (load_baseline already tolerates the extra speedup_vs_ref field).
+// (load_baseline already tolerates the extra speedup_vs_ref field), plus
+// the same-run oracle floor above.
 int run_ttm_compare(const std::string& path, double fail_under) {
   const auto base = load_baseline(path);
   if (base.empty()) {
@@ -659,12 +668,30 @@ int run_ttm_compare(const std::string& path, double fail_under) {
     return 1;
   }
   std::printf("%d rows compared; worst ratio %.2fx\n", matched, worst);
+  double worst_oracle = 1e300;
+  for (const auto& r : rows) {
+    if (r.kernel.find("_packed") == std::string::npos) continue;
+    worst_oracle = std::min(worst_oracle, r.speedup_vs_ref);
+    if (r.speedup_vs_ref < kTtmOracleFloor)
+      std::fprintf(stderr, "%s %s rank %lld width %d: %.2fx of its reference\n",
+                   r.kernel.c_str(), r.precision,
+                   static_cast<long long>(r.size), r.threads,
+                   r.speedup_vs_ref);
+  }
+  std::printf("worst packed/reference ratio in this run %.2fx (floor %.2f)\n",
+              worst_oracle, kTtmOracleFloor);
+  int rc = 0;
   if (fail_under > 0 && worst < fail_under) {
     std::fprintf(stderr, "worst ratio %.2fx below --fail-under=%.2f\n", worst,
                  fail_under);
-    return 2;
+    rc = 2;
   }
-  return 0;
+  if (worst_oracle < kTtmOracleFloor) {
+    std::fprintf(stderr, "packed TTM below %.2f of its same-run reference\n",
+                 kTtmOracleFloor);
+    rc = 2;
+  }
+  return rc;
 }
 
 }  // namespace

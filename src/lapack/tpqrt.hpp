@@ -60,10 +60,10 @@ void tpqrt_unblocked(MatView<T> r, MatView<T> b, T* tau, Pentagon shape) {
 /// tau receives n scalars. With Pentagon::kTriangular, column j of B is
 /// assumed zero below row j and only rows 0..j participate.
 ///
-/// Wide full-pentagon stacks (the flat-tree TensorLQ case, where B is a
-/// whole unfolding block) are processed in compact-WY column panels with
-/// gemm trailing updates over B -- LAPACK's blocked tpqrt strategy -- so
-/// the mid-mode flat tree runs at matrix-multiply speed. The reflectors of
+/// Wide full-pentagon stacks (the flat-tree TensorLQ case, where B is one
+/// cache-sized group of unfolding columns) are processed in compact-WY
+/// column panels with gemm trailing updates over B -- LAPACK's blocked
+/// tpqrt strategy -- so the flat tree runs at matrix-multiply speed. The reflectors of
 /// a [R; B] panel have the special structure V = [I; B_panel] (unit rows in
 /// R, dense tails in B), so V_i^T V_j reduces to B-column inner products.
 template <class T>

@@ -64,27 +64,57 @@ void merge_triangle(Matrix<T>& dst, MatView<const T> leaf) {
 }
 
 /// TSQR accumulator for the row-split case (the slab axis itself): R of
-/// the row-stacked matrix [A_1; A_2; ...], each push annihilating one
-/// slab's row block into the running C x C upper triangle. The block is
-/// consumed (overwritten with reflector tails).
+/// the row-stacked matrix A = [A_1; A_2; ...] (rows x C), so that
+/// R^T R = A^T A. Until C rows have arrived the blocks are kept as raw rows
+/// and r() factors them with one Householder QR: an upper trapezoid with
+/// min(rows, C) rows, exactly the rank the data can have. (A C x C triangle
+/// of a wide A would be rank-deficient, and its small SVD would cost
+/// O(C^3) for rows << C.) Once C rows are in, the stack is triangularized
+/// in place and every later block is annihilated into the running C x C
+/// triangle by the structured tpqrt, which overwrites them.
 template <class T>
 class TsqrAccumulator {
  public:
   explicit TsqrAccumulator(index_t cols) : r_(cols, cols) {}
 
   void push(MatView<T> block) {
-    TUCKER_CHECK(block.cols() == r_.cols(),
-                 "TsqrAccumulator: column count mismatch");
+    const index_t c = r_.cols();
+    TUCKER_CHECK(block.cols() == c, "TsqrAccumulator: column count mismatch");
     std::vector<T> tau;
+    if (rows_ < c) {
+      const index_t take = std::min(block.rows(), c - rows_);
+      blas::copy(MatView<const T>(block.block(0, 0, take, c)),
+                 r_.view().block(rows_, 0, take, c));
+      rows_ += take;
+      if (rows_ < c) return;
+      la::geqrf(r_.view(), tau);
+      zero_below_diagonal(r_.view());
+      block = block.block(take, 0, block.rows() - take, c);
+      if (block.rows() == 0) return;
+    }
     la::tpqrt(r_.view(), block, tau, la::Pentagon::kFull);
   }
 
-  /// The current triangular factor (valid any time; more pushes refine it).
-  const Matrix<T>& r() const { return r_; }
-  Matrix<T>& r() { return r_; }
+  /// R factor of every row pushed so far: min(rows, C) x C, upper
+  /// trapezoidal (the C x C triangle once C rows are in).
+  Matrix<T> r() const {
+    const index_t c = r_.cols();
+    if (rows_ >= c) return r_;
+    Matrix<T> q = Matrix<T>::from(r_.cview().block(0, 0, rows_, c));
+    std::vector<T> tau;
+    la::geqrf(q.view(), tau);
+    zero_below_diagonal(q.view());
+    return q;
+  }
 
  private:
+  static void zero_below_diagonal(MatView<T> a) {
+    for (index_t i = 1; i < a.rows(); ++i)
+      for (index_t j = 0; j < std::min(i, a.cols()); ++j) a(i, j) = T(0);
+  }
+
   Matrix<T> r_;
+  index_t rows_ = 0;  // rows pushed, counted up to C
 };
 
 /// Trailing-mode slices per chunk for a resident tensor under a byte

@@ -19,7 +19,7 @@
 //    to the in-memory QR-SVD driver.
 //  - If the trailing mode is reached while still out of core, its
 //    unfolding is row-split across slabs, so the dual recipe applies: TSQR
-//    (tpqrt row-block annihilation) accumulates the C x C triangle R, the
+//    (TsqrAccumulator) builds the min(rows, C) x C factor R, the
 //    small SVD of R^T yields singular values and right vectors V, and a
 //    second pass back-projects the factor U = A V S^-1 per slab. The core
 //    follows without touching the data again: U^T A = (R V S^-1)^T R.
@@ -363,17 +363,17 @@ StreamSthosvdResult<T> stream_sthosvd(
           // buffer is dead after this iteration.
           acc.push(tensor::unfolding_block(slab, t, 0));
         }
-        rfac = std::move(acc.r());
+        rfac = acc.r();
         out.slabs_read += cur->num_slabs();
       }
       // Singular values and *right* vectors of the stacked unfolding from
       // the small factor: sigma(R) = sigma(A); left vectors of R^T are
-      // right vectors of A. The C x C triangle has rank <= rows_total, so
-      // when the unfolding is wide it is heavily rank-deficient; the
-      // bidiagonal QR iteration loses several digits on the kept right
-      // vectors under that much deflation (enough to break the U = A P
-      // back-projection), while one-sided Jacobi keeps full column-wise
-      // accuracy. Same asymptotic cost, so use Jacobi unconditionally here.
+      // right vectors of A. R has min(rows_total, C) rows, so a wide
+      // unfolding costs a C x rows_total small SVD, not C x C. One-sided
+      // Jacobi keeps full column-wise accuracy on the kept right vectors,
+      // which the U = A P back-projection needs; the bidiagonal QR
+      // iteration loses several digits there under heavy deflation
+      // (DESIGN.md Sec 11.4), so use Jacobi unconditionally here.
       auto svdt = core::svd_of_l(blas::Matrix<T>::from(blas::MatView<const T>(
                                      rfac.view().t())),
                                  core::SmallSvdBackend::kJacobi);
@@ -390,7 +390,7 @@ StreamSthosvdResult<T> stream_sthosvd(
         for (index_t i = 0; i < c; ++i) p(i, j) = svdt.u(i, j) * inv;
       }
       // Core without another data pass: U^T A = (R P)^T R.
-      blas::Matrix<T> rp(c, r);
+      blas::Matrix<T> rp(rfac.rows(), r);
       blas::gemm(T(1), blas::MatView<const T>(rfac.view()),
                  blas::MatView<const T>(p.view()), T(0), rp.view());
       tensor::Dims core_dims = cur_dims;

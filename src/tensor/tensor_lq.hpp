@@ -2,28 +2,33 @@
 // LQ of a tensor unfolding (paper Alg 2), leaf-parallel.
 //
 // The triangular factor L of X_(n) = L*Q carries all the information the
-// SVD step needs (singular values and left singular vectors). Modes with a
-// single-matrix unfolding (mode 0: column-major; last mode: row-major) are
-// factored with one driver call; middle modes use a flat-tree TSQR that
-// annihilates one row-major block at a time into the running triangle via
-// the structured tplqt kernel, streaming the tensor once and never
-// reordering it in memory. If the leading block is not short-fat, blocks
-// are merged until the first LQ yields a triangle (paper Sec 3.3); if even
-// the whole unfolding is tall, the resulting lower-trapezoidal factor is
-// returned (callers zero-pad when a square triangle is required).
+// SVD step needs (singular values and left singular vectors). Every mode
+// runs one flat-tree TSQR that streams the unfolding once and never
+// reorders the tensor in place: the unfolding's units -- single columns
+// for mode 0 (column-major) and the last mode (one row-major block),
+// whole I_n x I_n^< row-major blocks for the middle modes -- are copied a
+// cache-sized group at a time into one row-major arena block; gelqf
+// factors the first group (which holds at least the columns a full
+// triangle needs, paper Sec 3.3) and the structured tplqt annihilates
+// every later group into the running triangle. If even the whole
+// unfolding is tall, the resulting lower-trapezoidal factor is returned
+// (callers zero-pad when a square triangle is required).
 //
 // Leaf parallelism (DESIGN.md Sec 16): the unfolding's columns are first
 // cut into shape-determined leaves (tensor::unfolding_leaves). Each leaf
-// runs the code above on its own column range -- the leaves run on the
-// pool -- and TriangleReducer folds the leaf triangles in leaf order: the
-// same Iwen-Ong merge tree the streaming engine uses across slabs. One
-// leaf is exactly the single-block factorization.
+// runs the flat tree above on its own column range -- the leaves run on
+// the pool -- and TriangleReducer folds the leaf triangles in leaf order:
+// the same Iwen-Ong merge tree the streaming engine uses across slabs,
+// which is exact for any column split, so neither leaves nor groups cost
+// accuracy. Group size (detail::lq_group_units) and leaf count are pure
+// functions of the shape, so the result is bitwise identical at every
+// thread width.
 //
 // The input tensor is left untouched: ST-HOSVD still needs it for the TTM
-// truncation. The leaves' working copies are slices of one frame on the
-// calling thread's arena (together at most the whole unfolding, mirroring
-// TuckerMPI's work-array behaviour), so the caller's high-water mark does
-// not depend on the thread width.
+// truncation. Each leaf's group buffer is a slice of one frame on the
+// calling thread's arena -- one group per leaf, not the unfolding -- so
+// the caller's high-water mark is small and does not depend on the
+// thread width.
 
 #include <algorithm>
 #include <vector>
@@ -131,61 +136,72 @@ class TriangleReducer {
 
 namespace detail {
 
-/// Arena elements leaf `leaf` needs for its working copy: its whole column
-/// range for the single-matrix modes; for middle modes the merged leading
-/// blocks plus one streaming block. Rounded to 64 bytes so every slice of
-/// the shared frame keeps the arena's alignment.
+/// Units one leaf group holds: about 400 KiB of T (an L2-sized block that
+/// gelqf/tplqt factor at cache speed), never fewer units than the first
+/// triangle needs columns, and always whole units. `unit_cols` is 1 for the
+/// single-matrix modes and I_n^< for the middle modes' row-major blocks.
+/// A pure function of the shape, like the leaf split itself.
 template <class T>
-index_t lq_leaf_elems(index_t m, index_t before, const UnfoldingLeaves& p,
+index_t lq_group_units(index_t m, index_t unit_cols) {
+  constexpr index_t kGroupElems = index_t{400 * 1024} / index_t{sizeof(T)};
+  const index_t unit_elems = std::max<index_t>(m * unit_cols, 1);
+  const index_t fit = std::max<index_t>(kGroupElems / unit_elems, 1);
+  const index_t first = (m + unit_cols - 1) / std::max<index_t>(unit_cols, 1);
+  return std::max(fit, first);
+}
+
+/// Arena elements leaf `leaf` needs: one group of its units (or the whole
+/// leaf, when shorter). Rounded to 64 bytes so every slice of the shared
+/// frame keeps the arena's alignment.
+template <class T>
+index_t lq_leaf_elems(index_t m, index_t unit_cols, const UnfoldingLeaves& p,
                       index_t leaf) {
-  const index_t units = p.hi(leaf) - p.lo(leaf);
-  index_t e = m * units;
-  if (!p.single) {
-    const index_t merge = std::min(units, (m + before - 1) / before);
-    e = m * before * std::min(units, merge + 1);
-  }
+  const index_t units = std::min(p.hi(leaf) - p.lo(leaf),
+                                 lq_group_units<T>(m, unit_cols));
+  const index_t e = m * units * unit_cols;
   constexpr index_t kAlignElems = 64 / sizeof(T);
   return (e + kAlignElems - 1) / kAlignElems * kAlignElems;
 }
 
-/// L factor of one leaf's columns of the mode-n unfolding, built in `buf`
-/// (lq_leaf_elems elements). This is the whole single-block algorithm of
-/// the file comment, restricted to the leaf's column range.
+/// L factor of one leaf's columns of the mode-n unfolding: the flat tree
+/// of the file comment. Each group of lq_group_units units is copied into
+/// `buf` (lq_leaf_elems elements) as one row-major I_n x (units * unit
+/// columns) block; the first group is factored with gelqf, every later one
+/// is annihilated into the running triangle with tplqt. A leaf too short
+/// for a full triangle returns its lower-trapezoidal factor.
 template <class T>
 blas::Matrix<T> lq_leaf(const Tensor<T>& y, std::size_t n,
                         const UnfoldingLeaves& p, index_t leaf, T* buf) {
   const index_t m = y.dim(n);
   const index_t lo = p.lo(leaf), hi = p.hi(leaf);
-  std::vector<T> tau;
-  if (p.single) {
-    // Mode 0 is the column-major unfolding (the paper's gelq case). A
-    // single row-major block (always true for the last mode) is a QR of
-    // the transpose (the geqr case); gelqf on a row-major copy is exactly
-    // that computation.
-    const MatView<const T> x =
-        n == 0 ? unfolding_mode0(y) : unfolding_block(y, n, 0);
-    auto work = MatView<T>::row_major(buf, m, hi - lo);
-    blas::copy(x.block(0, lo, m, hi - lo), work);
-    la::gelqf(work, tau);
-    return la::extract_l<T>(work);
-  }
+  const index_t unit_cols = p.single ? 1 : prod_before(y.dims(), n);
+  const index_t group = lq_group_units<T>(m, unit_cols);
+  // Mode 0 is the column-major unfolding (the paper's gelq case); a single
+  // row-major block (always true for the last mode) is the geqr case;
+  // otherwise units are the middle mode's row-major blocks.
+  auto stage = [&](index_t u0, index_t u1) {
+    auto work = MatView<T>::row_major(buf, m, (u1 - u0) * unit_cols);
+    if (p.single) {
+      const MatView<const T> x =
+          n == 0 ? unfolding_mode0(y) : unfolding_block(y, n, 0);
+      blas::copy(x.block(0, u0, m, u1 - u0), work);
+    } else {
+      for (index_t b = u0; b < u1; ++b)
+        blas::copy(unfolding_block(y, n, b),
+                   work.block(0, (b - u0) * unit_cols, m, unit_cols));
+    }
+    return work;
+  };
 
-  // Flat-tree TSQR over the leaf's row-major blocks. Merge enough leading
-  // blocks that the first LQ produces a full triangle.
-  const index_t before = prod_before(y.dims(), n);
-  const index_t merge = std::min(hi - lo, (m + before - 1) / before);
-  auto first = MatView<T>::row_major(buf, m, merge * before);
-  for (index_t b = 0; b < merge; ++b)
-    blas::copy(unfolding_block(y, n, lo + b),
-               first.block(0, b * before, m, before));
+  std::vector<T> tau;
+  index_t u0 = std::min(hi, lo + group);
+  auto first = stage(lo, u0);
   la::gelqf(first, tau);
   blas::Matrix<T> l = la::extract_l<T>(first);
-  if (l.cols() < m) return l;  // leaf was tall: trapezoid, done
-
-  auto scratch = MatView<T>::row_major(buf + m * merge * before, m, before);
-  for (index_t j = lo + merge; j < hi; ++j) {
-    blas::copy(unfolding_block(y, n, j), scratch);
-    la::tplqt(l.view(), scratch, tau, la::Pentagon::kFull);
+  if (l.cols() < m) return l;  // whole leaf is one short group: trapezoid
+  for (; u0 < hi; u0 += group) {
+    auto next = stage(u0, std::min(hi, u0 + group));
+    la::tplqt(l.view(), next, tau, la::Pentagon::kFull);
   }
   return l;
 }
@@ -198,8 +214,8 @@ template <class T>
 blas::Matrix<T> tensor_lq(const Tensor<T>& y, std::size_t n) {
   TUCKER_CHECK(n < y.order(), "tensor_lq: mode out of range");
   const index_t m = y.dim(n);
-  const index_t before = prod_before(y.dims(), n);
   const UnfoldingLeaves p = unfolding_leaves(y.dims(), n);
+  const index_t unit_cols = p.single ? 1 : prod_before(y.dims(), n);
   // Every leaf's working copy is a slice of one frame on *this* thread's
   // arena; only the returned L factor (and the leaf triangles) own heap
   // memory.
@@ -207,7 +223,7 @@ blas::Matrix<T> tensor_lq(const Tensor<T>& y, std::size_t n) {
   for (index_t i = 0; i < p.count; ++i)
     off[static_cast<std::size_t>(i) + 1] =
         off[static_cast<std::size_t>(i)] +
-        detail::lq_leaf_elems<T>(m, before, p, i);
+        detail::lq_leaf_elems<T>(m, unit_cols, p, i);
   Workspace& ws = Workspace::local();
   auto arena = ws.frame();
   T* buf = ws.get<T>(static_cast<std::size_t>(off.back()));

@@ -128,6 +128,27 @@ index_t ttm_row_chunk(index_t r) {
   return std::clamp<index_t>(aligned, 512, 4096);
 }
 
+/// True when the packed engine may hand a short-fat factor to a gemm
+/// kernel without moving a bit: native accumulation, or (wide) a
+/// contracted dimension within one gemm k block, where the wide engines
+/// agree (file comment). Beyond that only the packing-free kernels keep the
+/// single full-k wide chain.
+template <class T, class TA>
+bool gemm_keeps_bits(index_t k) {
+  return std::is_same_v<T, TA> || k <= tune::gemm_kb();
+}
+
+/// Column grain for fanning one unfolding block's columns out over the
+/// pool: an equal share per thread, capped at the kernel's own chunk and
+/// rounded to whole vector lanes, so a streaming walk keeps its multi-KB
+/// row bursts. Every kernel here is column-partition invariant, so the
+/// grain moves no bits.
+inline index_t ttm_fanout_grain(index_t cols, index_t chunk, index_t width) {
+  const index_t share =
+      blas::detail::round_up((cols + width - 1) / width, blas::detail::kMicroNR);
+  return std::clamp<index_t>(share, blas::detail::kMicroNR, chunk);
+}
+
 /// Tall-factor block sweep shared by the packed engine and the prepacked
 /// reconstruction fast path (tensor/prepacked.hpp): gemm_prepacked_a over
 /// every mode-n (n >= 1) unfolding block from an already-staged A panel
@@ -157,8 +178,10 @@ void ttm_tall_from_panel(const Tensor<T>& x, std::size_t n, const T* apack,
       for (index_t b = lo; b < hi; ++b) run_block_cols(b, 0, before);
     });
   } else if (fan_out) {
+    const index_t grain =
+        ttm_fanout_grain(before, ttm_col_chunk<T>(k), width);
     for (index_t b = 0; b < nblocks; ++b) {
-      parallel::parallel_for(0, before, 64, [&](index_t j0, index_t j1) {
+      parallel::parallel_for(0, before, grain, [&](index_t j0, index_t j1) {
         run_block_cols(b, j0, j1);
       });
     }
@@ -232,10 +255,10 @@ void ttm_tall_from_panel_multi(const std::vector<const Tensor<T>*>& xs,
       std::size_t item;
       index_t blk;
       locate(u, item, blk);
-      parallel::parallel_for(0, prod_before(xs[item]->dims(), n), 64,
-                             [&](index_t j0, index_t j1) {
-                               run_unit_cols(item, blk, j0, j1);
-                             });
+      const index_t before = prod_before(xs[item]->dims(), n);
+      parallel::parallel_for(
+          0, before, ttm_fanout_grain(before, ttm_col_chunk<T>(k), width),
+          [&](index_t j0, index_t j1) { run_unit_cols(item, blk, j0, j1); });
     }
   } else {
     for (std::size_t i = 0; i < m; ++i) {
@@ -269,11 +292,19 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   if (n == 0) {
     const index_t cols = prod_after(x.dims(), 0);
     const index_t ldut = blas::detail::round_up(r, kMicroNR);
-    if (r > kTtmAxpyMaxR ||
-        static_cast<std::size_t>(k * ldut) * sizeof(T) > 32768) {
-      // Tall factor (reconstruction direction), or a staged U^T panel that
-      // would spill L1: the dot kernel re-reads the panel per fiber, so
-      // once it stops being L1-resident the register-tile gemm wins.
+    // The dot kernel keeps one fiber's r outputs in NV = ceil(r / NR)
+    // vector accumulators and loads NV U^T vectors per x element, so past
+    // one vector (r > NR) it is load-bound and the register-tile gemm of
+    // the reference engine wins at every width (DESIGN.md Sec 10.3). Wide
+    // accumulation with k beyond one gemm k block is the exception: there
+    // the reference engine spills per k block and only the dot kernel
+    // keeps the single full-k wide chain.
+    const bool dot = r <= kMicroNR ||
+                     (!gemm_keeps_bits<T, TA>(k) && r <= kTtmAxpyMaxR);
+    if (!dot || static_cast<std::size_t>(k * ldut) * sizeof(T) > 32768) {
+      // Also a staged U^T panel that would spill L1: the dot kernel
+      // re-reads the panel per fiber, so once it stops being L1-resident
+      // the register-tile gemm wins.
       ttm_reference_into<T, TA>(x, 0, u, y);
       return;
     }
@@ -307,7 +338,18 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
       2.0 * r * k * static_cast<double>(before) * static_cast<double>(nblocks);
   const bool fan_out = width > 1 && work >= tune::par_flop_threshold();
 
-  if (r <= kTtmAxpyMaxR) {
+  // Too few blocks for block-level fanout: each block's columns are split
+  // over the threads instead.
+  const bool split_cols = fan_out && nblocks < 2 * width;
+  // DRAM-resident blocks take the streaming walk below, which reads X once
+  // but does one C read-modify-write per FMA. On one thread it keeps pace
+  // with the gemm at any r; split over threads across one block it stops
+  // scaling past one vector of outputs (r > NR), so that case takes the
+  // tall-factor gemm instead (DESIGN.md Sec 10.2).
+  const bool stream =
+      static_cast<std::size_t>(k * before) * sizeof(T) > 262144;
+  if (r <= kTtmAxpyMaxR && !(stream && split_cols && r > kMicroNR &&
+                             gemm_keeps_bits<T, TA>(k))) {
     // Short-fat factor (the ST-HOSVD truncation case): stage U contiguously
     // once, then run the packing-free kernel per block. Cache-resident
     // blocks take the register-tile walk; DRAM-resident blocks take the
@@ -318,8 +360,6 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
       for (index_t j = 0; j < k; ++j) upack[i * k + j] = u(i, j);
     tucker::add_flops(2 * r * k * before * nblocks);
     tucker::add_traffic(flops::gemm_bytes(r, before * nblocks, k, sizeof(T)));
-    const bool stream =
-        static_cast<std::size_t>(k * before) * sizeof(T) > 262144;
     const index_t chunk =
         stream ? ttm_row_chunk<T>(r) : ttm_col_chunk<T>(k);
     auto run_block_cols = [&](index_t blk, index_t j0, index_t j1) {
@@ -352,13 +392,14 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
         }
       }
     };
-    if (fan_out && nblocks >= 2 * width) {
+    if (fan_out && !split_cols) {
       parallel::parallel_for(0, nblocks, 1, [&](index_t lo, index_t hi) {
         for (index_t b = lo; b < hi; ++b) run_block_cols(b, 0, before);
       });
-    } else if (fan_out) {
+    } else if (split_cols) {
+      const index_t grain = ttm_fanout_grain(before, chunk, width);
       for (index_t b = 0; b < nblocks; ++b) {
-        parallel::parallel_for(0, before, 64, [&](index_t j0, index_t j1) {
+        parallel::parallel_for(0, before, grain, [&](index_t j0, index_t j1) {
           run_block_cols(b, j0, j1);
         });
       }

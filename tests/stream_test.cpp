@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -464,6 +465,32 @@ TEST_F(StreamDriverTest, TallTrailingModeExactBackProjection) {
   const double err = core::relative_error(x, out.decomposition.tucker);
   const double ref_err = core::relative_error(x, ref.tucker);
   EXPECT_LE(err, std::max(2 * ref_err, 1e-8));
+}
+
+TEST_F(StreamDriverTest, ShortWideTrailingModeFactorsOnlyItsRows) {
+  // Full multilinear rank keeps modes 0-2 untruncated at eps = 1e-4, so at
+  // a 1/6 budget the trailing mode runs out of core with 6 rows against
+  // C = 9 * 9 * 8 = 648 columns. Its small SVD must run on the 6 x 648
+  // TSQR factor; one-sided Jacobi on a C x C triangle costs minutes.
+  const Dims dims{9, 9, 8, 6};
+  auto x = data::random_tensor<double>(dims, 45);
+  const double eps = 1e-4;
+  stream::StreamOptions opt;
+  opt.chunk_bytes = static_cast<std::size_t>(x.size()) * sizeof(double) / 6;
+  opt.spill_dir = ::testing::TempDir();
+  stream::InMemorySource<double> src(x, 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto out = stream::stream_sthosvd(src, core::TruncationSpec::tolerance(eps),
+                                    core::SvdMethod::kStream, opt);
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_EQ(out.gathered_after, -1);  // trailing mode really ran out of core
+  EXPECT_EQ(out.decomposition.ranks, (std::vector<index_t>{9, 9, 8, 6}));
+  EXPECT_EQ(out.decomposition.mode_sigmas[3].size(), 6u);
+  EXPECT_LT(orthonormality_defect(out.decomposition.tucker.factors[3]), 1e-10);
+  EXPECT_LE(core::relative_error(x, out.decomposition.tucker), eps);
+  EXPECT_LT(secs, 30.0);
 }
 
 TEST_F(StreamDriverTest, ResultBitwiseIndependentOfThreadWidth) {

@@ -2,7 +2,9 @@
 //  - packed and reference engines produce bitwise-identical results across
 //    thread widths {1, 2, 7}, every mode of 3- and 4-order tensors with
 //    odd/prime dims, rank-1 factors, short-fat (axpy/mode-0 kernel) and
-//    tall (prepacked-gemm kernel) factors, for both kernel variants;
+//    tall (prepacked-gemm kernel) factors, for both kernel variants, and
+//    on both sides of the mode-0 dot-kernel and streaming-walk hand-offs
+//    to gemm;
 //  - both engines record identical flop totals;
 //  - the reference mode-0 staging of a fully strided factor view changes
 //    no bits;
@@ -136,6 +138,20 @@ TEST_F(TtmEquivalence, PackedMatchesReferenceAcrossWidths4Order) {
   for (int width : {1, 2, 7}) {
     parallel::set_max_threads(width);
     sweep_modes<double>({7, 5, 3, 11}, {1, 2, 5}, 0xabcd03);
+  }
+}
+
+// Both sides of the packed engine's gemm hand-offs: mode-0 ranks r <= NR
+// run the dot kernel and r > NR the transposed gemm; a DRAM-resident block
+// (k * I_n^< * sizeof(T) > 256 KiB, here the last mode) whose columns are
+// split over threads (widths 2 and 7) runs the streaming walk at r <= NR
+// and the tall-factor gemm above it.
+TEST_F(TtmEquivalence, DispatchBoundariesAcrossWidths) {
+  const index_t nr = blas::detail::kMicroNR;
+  for (int width : {1, 2, 7}) {
+    parallel::set_max_threads(width);
+    sweep_modes<double>({19, 12, 1400}, {nr, nr + 1}, 0xabcd05);
+    sweep_modes<float>({19, 12, 1400}, {nr, nr + 1}, 0xabcd06);
   }
 }
 

@@ -3,12 +3,14 @@
 //  - results are bitwise identical at widths {1, 2, 7} on shapes whose
 //    mode 0, middle modes and last mode split into several leaves, in
 //    float and double, with native and wide Gram accumulation;
-//  - a one-leaf shape reproduces the single-block kernel bit for bit;
+//  - a one-leaf shape reproduces the single-block kernel (gelqf on the
+//    first group, tplqt on every later one) bit for bit;
 //  - L L^T and the Gram match X_(n) X_(n)^T accumulated in long double
 //    from the explicit unfolding (an oracle outside the library's kernels)
 //    to O(eps ||X||_F^2);
 //  - the calling thread's arena high-water mark after a multi-leaf call is
-//    the same at every width.
+//    the same at every width, and for the LQ stays below the unfolding's
+//    bytes when the leaves span several groups.
 
 #include <gtest/gtest.h>
 
@@ -53,6 +55,10 @@ const Dims kMixed{10, 24, 21, 47};
 const Dims kLastSplit{16, 24, 30, 12};
 // Every mode is one leaf.
 const Dims kSmall{12, 10, 9, 8};
+// Modes 0, 1 (I_1^< = 40) and 3 split into 2 leaves whose LQ runs over at
+// least 3 groups each in float (5 in double); mode 2 splits into 8
+// one-group leaves.
+const Dims kGrouped{40, 35, 6, 50};
 
 template <class T>
 Tensor<T> make_tensor(const Dims& dims, std::uint64_t seed) {
@@ -71,34 +77,40 @@ bool same_bits(const Matrix<T>& a, const Matrix<T>& b) {
              0;
 }
 
-// The single-block LQ: one gelqf for the single-matrix modes, the
-// merge-then-tplqt flat tree over every row-major block for the middle
-// modes -- the algorithm one leaf runs, over the whole unfolding.
+// The one-leaf LQ: the unfolding's units (columns for the single-matrix
+// modes, I_n x I_n^< row-major blocks for the middle modes) staged group by
+// group into a row-major block straight from the unfolding's entries; gelqf
+// factors the first group and tplqt folds every later one into the running
+// triangle. A group is about 400 KiB of T in whole units, never fewer
+// units than the first triangle needs columns -- the algorithm one leaf
+// runs, over the whole unfolding.
 template <class T>
 Matrix<T> single_block_lq(const Tensor<T>& y, std::size_t n) {
   const index_t m = y.dim(n);
   const index_t before = tensor::prod_before(y.dims(), n);
   const index_t after = tensor::prod_after(y.dims(), n);
+  const bool single = n == 0 || after == 1;
+  const index_t unit_cols = single ? 1 : before;
+  const index_t units = single ? before * after : after;
+  const index_t group = std::max<index_t>(
+      std::max<index_t>(index_t{400 * 1024 / sizeof(T)} / (m * unit_cols), 1),
+      (m + unit_cols - 1) / unit_cols);
+  auto stage = [&](index_t u0, index_t u1) {
+    Matrix<T> w(m, (u1 - u0) * unit_cols);
+    for (index_t i = 0; i < m; ++i)
+      for (index_t c = 0; c < w.cols(); ++c)
+        w(i, c) = tensor::unfolding_entry(y, n, i, u0 * unit_cols + c);
+    return w;
+  };
   std::vector<T> tau;
-  if (n == 0 || after == 1) {
-    const MatView<const T> x = n == 0 ? tensor::unfolding_mode0(y)
-                                      : tensor::unfolding_block(y, n, 0);
-    Matrix<T> work(m, x.cols());
-    blas::copy(x, work.view());
-    la::gelqf(work.view(), tau);
-    return la::extract_l<T>(MatView<const T>(work.view()));
-  }
-  const index_t merge = std::min(after, (m + before - 1) / before);
-  Matrix<T> first(m, merge * before);
-  for (index_t b = 0; b < merge; ++b)
-    blas::copy(tensor::unfolding_block(y, n, b),
-               first.view().block(0, b * before, m, before));
+  index_t u0 = std::min(units, group);
+  Matrix<T> first = stage(0, u0);
   la::gelqf(first.view(), tau);
   Matrix<T> l = la::extract_l<T>(MatView<const T>(first.view()));
-  Matrix<T> scratch(m, before);
-  for (index_t j = merge; j < after; ++j) {
-    blas::copy(tensor::unfolding_block(y, n, j), scratch.view());
-    la::tplqt(l.view(), scratch.view(), tau, la::Pentagon::kFull);
+  if (l.cols() < m) return l;
+  for (; u0 < units; u0 += group) {
+    Matrix<T> next = stage(u0, std::min(units, u0 + group));
+    la::tplqt(l.view(), next.view(), tau, la::Pentagon::kFull);
   }
   return l;
 }
@@ -197,6 +209,29 @@ TEST(UnfoldingLeavesTest, CountIsAShapeOnlyRule) {
   }
 }
 
+TEST(UnfoldingLeavesTest, GroupIsAShapeOnlyRule) {
+  // About 400 KiB of T in whole units...
+  EXPECT_EQ(tensor::detail::lq_group_units<float>(100, 1), 1024);
+  EXPECT_EQ(tensor::detail::lq_group_units<double>(100, 1), 512);
+  EXPECT_EQ(tensor::detail::lq_group_units<float>(100, 15), 68);
+  EXPECT_EQ(tensor::detail::lq_group_units<double>(8, 10000), 1);
+  // ...but never fewer columns than the first triangle needs.
+  EXPECT_EQ(tensor::detail::lq_group_units<double>(1000, 1), 1000);
+  EXPECT_EQ(tensor::detail::lq_group_units<double>(1000, 300), 4);
+
+  // The kGrouped leaves span >= 3 groups in float on modes 0, 1 and 3.
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    const auto p = tensor::unfolding_leaves(kGrouped, n);
+    const index_t unit_cols = p.single ? 1 : tensor::prod_before(kGrouped, n);
+    const index_t g =
+        tensor::detail::lq_group_units<float>(kGrouped[n], unit_cols);
+    EXPECT_GE(p.count, 2) << n;
+    for (index_t i = 0; i < p.count; ++i)
+      EXPECT_GT(p.hi(i) - p.lo(i), 2 * g) << "mode " << n << " leaf " << i;
+  }
+  EXPECT_LT(tensor::prod_before(kGrouped, 1), 96);
+}
+
 template <class T>
 void expect_bitwise_across_widths(const Dims& dims, std::uint64_t seed) {
   ThreadsGuard tg;
@@ -222,11 +257,13 @@ void expect_bitwise_across_widths(const Dims& dims, std::uint64_t seed) {
 TEST(UnfoldingTreeTest, BitwiseAcrossWidthsDouble) {
   expect_bitwise_across_widths<double>(kMixed, 201);
   expect_bitwise_across_widths<double>(kLastSplit, 202);
+  expect_bitwise_across_widths<double>(kGrouped, 205);
 }
 
 TEST(UnfoldingTreeTest, BitwiseAcrossWidthsFloat) {
   expect_bitwise_across_widths<float>(kMixed, 203);
   expect_bitwise_across_widths<float>(kLastSplit, 204);
+  expect_bitwise_across_widths<float>(kGrouped, 206);
 }
 
 template <class T>
@@ -253,7 +290,9 @@ TEST(UnfoldingTreeTest, OneLeafIsTheSingleBlockKernel) {
     expect_one_leaf_is_single_block<double>(kSmall, n, 210 + n);
     expect_one_leaf_is_single_block<float>(kSmall, n, 220 + n);
   }
+  // One leaf of several groups (5 in double, 3 in float).
   expect_one_leaf_is_single_block<double>(kMixed, 3, 230);
+  expect_one_leaf_is_single_block<float>(kMixed, 3, 231);
 }
 
 // Householder LQ is backward stable and a summed Gram is forward accurate:
@@ -285,40 +324,58 @@ TEST(UnfoldingTreeTest, MatchesLongDoubleGramOracle) {
   expect_matches_long_double_oracle<double>(kLastSplit, 251);
   expect_matches_long_double_oracle<float>(kMixed, 252);
   expect_matches_long_double_oracle<float>(kLastSplit, 253);
+  expect_matches_long_double_oracle<double>(kGrouped, 254);
+  expect_matches_long_double_oracle<float>(kGrouped, 255);
 }
 
 // Leaf working copies and partial Grams are slices of one frame on the
 // calling thread's arena, and the caller always runs leaf 0 (the largest),
 // so its high-water mark cannot depend on which threads ran the others.
 // Each width runs on a fresh thread, i.e. a fresh arena.
+template <class T>
+std::size_t caller_high_water(const Tensor<T>& x, int w, std::size_t n,
+                              bool gram) {
+  parallel::set_max_threads(w);
+  std::size_t hwm = 0;
+  std::thread([&] {
+    if (gram) {
+      tensor::gram_of_unfolding(x, n);
+    } else {
+      tensor::tensor_lq(x, n);
+    }
+    hwm = Workspace::local().high_water();
+  }).join();
+  return hwm;
+}
+
 TEST(UnfoldingTreeTest, CallerArenaHighWaterIsWidthInvariant) {
   ThreadsGuard tg;
   const auto x = make_tensor<double>(kMixed, 260);
-  auto measure = [&](int w, std::size_t n, bool gram) {
-    parallel::set_max_threads(w);
-    std::size_t hwm = 0;
-    std::thread([&] {
-      if (gram) {
-        tensor::gram_of_unfolding(x, n);
-      } else {
-        tensor::tensor_lq(x, n);
-      }
-      hwm = Workspace::local().high_water();
-    }).join();
-    return hwm;
-  };
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
-    const std::size_t ref = measure(1, n, false);
-    if (n == 0) {
-      // At least the whole unfolding: every leaf's copy lives on the caller.
-      EXPECT_GE(ref, static_cast<std::size_t>(x.size()) * sizeof(double));
-    }
+    const std::size_t ref = caller_high_water(x, 1, n, false);
     for (int w : {2, 7})
-      EXPECT_EQ(measure(w, n, false), ref) << "lq mode " << n << " width " << w;
-    const std::size_t gref = measure(1, n, true);
+      EXPECT_EQ(caller_high_water(x, w, n, false), ref)
+          << "lq mode " << n << " width " << w;
+    const std::size_t gref = caller_high_water(x, 1, n, true);
     for (int w : {2, 7})
-      EXPECT_EQ(measure(w, n, true), gref)
+      EXPECT_EQ(caller_high_water(x, w, n, true), gref)
           << "gram mode " << n << " width " << w;
+  }
+}
+
+// A leaf stages one group at a time, so the LQ's arena frame is one group
+// per leaf (plus kernel scratch) -- below the unfolding itself, and the
+// same at every width -- however many groups the leaves span.
+TEST(UnfoldingTreeTest, GroupedLeafArenaStaysBelowTheUnfolding) {
+  ThreadsGuard tg;
+  const auto x = make_tensor<double>(kGrouped, 261);
+  const std::size_t bytes = static_cast<std::size_t>(x.size()) * sizeof(double);
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    const std::size_t ref = caller_high_water(x, 1, n, false);
+    EXPECT_LT(ref, bytes) << "lq mode " << n;
+    for (int w : {2, 7})
+      EXPECT_EQ(caller_high_water(x, w, n, false), ref)
+          << "lq mode " << n << " width " << w;
   }
 }
 
