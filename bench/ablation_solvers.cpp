@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/timer.hpp"
+#include "harness.hpp"
 #include "lapack/bidiag_svd.hpp"
 #include "lapack/eig.hpp"
 #include "lapack/qr.hpp"
@@ -24,17 +24,6 @@ namespace {
 
 using tucker::blas::Matrix;
 using tucker::blas::MatView;
-
-template <class F>
-double time_best_of(int reps, F&& f) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    tucker::WallTimer t;
-    f();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -64,11 +53,11 @@ int main(int argc, char** argv) {
     if (ja.sigma[i] > 1e-13)
       max_rel = std::max(max_rel,
                          std::abs(ja.sigma[i] - gk.sigma[i]) / ja.sigma[i]);
-  const double t_ja = time_best_of(3, [&] {
+  const double t_ja = time_best(3, [&] {
     auto r = tucker::la::jacobi_svd(MatView<const double>(a.view()));
     (void)r;
   });
-  const double t_gk = time_best_of(3, [&] {
+  const double t_gk = time_best(3, [&] {
     auto r = tucker::la::bidiag_svd(MatView<const double>(a.view()));
     (void)r;
   });
@@ -88,11 +77,11 @@ int main(int argc, char** argv) {
   double max_abs = 0;
   for (std::size_t i = 0; i < je.lambda.size(); ++i)
     max_abs = std::max(max_abs, std::abs(je.lambda[i] - te.lambda[i]));
-  const double t_je = time_best_of(3, [&] {
+  const double t_je = time_best(3, [&] {
     auto r = tucker::la::jacobi_eig(MatView<const double>(gram.view()));
     (void)r;
   });
-  const double t_te = time_best_of(3, [&] {
+  const double t_te = time_best(3, [&] {
     auto r = tucker::la::tridiag_eig(MatView<const double>(gram.view()));
     (void)r;
   });
@@ -120,11 +109,11 @@ int main(int argc, char** argv) {
       max_sig_rel = std::max(max_sig_rel,
                              std::abs(got - sigma[i]) / sigma[i]);
     }
-    const double t_rand = time_best_of(3, [&] {
+    const double t_rand = time_best(3, [&] {
       auto res = tucker::core::rand_svd(t2, 0, r, 0.0);
       (void)res;
     });
-    const double t_qr = time_best_of(3, [&] {
+    const double t_qr = time_best(3, [&] {
       auto res = tucker::core::qr_svd(t2, 0);
       (void)res;
     });

@@ -14,11 +14,11 @@
 // Gram double (the paper's headline speedup).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "harness.hpp"
 
 using namespace tucker::bench;
 
@@ -28,8 +28,8 @@ namespace {
 //
 // The overlap sweep below (blocking vs nonblocking driver, Rand engine)
 // writes one JSON object per rank count to BENCH_overlap.json; --compare
-// re-runs the sweep and gates on the committed baseline, exactly like
-// stream_sthosvd's stream-regression check.
+// re-runs the sweep and gates the overlapped wall time per rank count on
+// the committed baseline (bench/harness.hpp).
 
 struct OverlapRow {
   int p;
@@ -38,67 +38,12 @@ struct OverlapRow {
   double hidden_s;
 };
 
-struct BaselineRow {
-  int p;
-  double overlap_s;
-};
-
-// Parses the rows of a BENCH_overlap.json written below (one object per
-// line); only the gate's keys are read.
-std::vector<BaselineRow> load_baseline(const std::string& path) {
-  std::vector<BaselineRow> rows;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) return rows;
-  char line[512];
-  while (std::fgets(line, sizeof(line), f)) {
-    BaselineRow r{};
-    const char* p = std::strstr(line, "\"p\": ");
-    const char* s = std::strstr(line, "\"overlap_seconds\": ");
-    if (!p || !s) continue;
-    if (std::sscanf(p, "\"p\": %d", &r.p) != 1) continue;
-    if (std::sscanf(s, "\"overlap_seconds\": %lf", &r.overlap_s) != 1)
-      continue;
-    rows.push_back(r);
-  }
-  std::fclose(f);
-  return rows;
-}
-
-// fail_under <= 0 disables the gate; otherwise any matched rank count whose
-// baseline/new overlapped-time ratio falls below it makes the run fail
-// (exit 2) -- the CI overlap-regression check.
-int run_compare(const std::vector<OverlapRow>& rows, const std::string& path,
-                double fail_under) {
-  const auto base = load_baseline(path);
-  if (base.empty()) {
-    std::fprintf(stderr, "no baseline rows in %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("%6s | %9s %9s | %7s\n", "P", "base s", "new s", "ratio");
-  int matched = 0;
-  double worst = 1e300;
-  for (const auto& r : rows) {
-    const BaselineRow* b = nullptr;
-    for (const auto& cand : base)
-      if (cand.p == r.p) b = &cand;
-    if (!b) continue;
-    ++matched;
-    const double ratio = b->overlap_s / r.overlap_s;  // >1 = new is faster
-    worst = std::min(worst, ratio);
-    std::printf("%6d | %9.4f %9.4f | %6.2fx\n", r.p, b->overlap_s,
-                r.overlap_s, ratio);
-  }
-  if (matched == 0) {
-    std::fprintf(stderr, "no rows matched the baseline schema\n");
-    return 1;
-  }
-  std::printf("%d rows compared; worst ratio %.2fx\n", matched, worst);
-  if (fail_under > 0 && worst < fail_under) {
-    std::fprintf(stderr, "worst ratio %.2fx below --fail-under=%.2f\n",
-                 worst, fail_under);
-    return 2;
-  }
-  return 0;
+Row to_row(const OverlapRow& o) {
+  return Row()
+      .integer("p", o.p)
+      .num("blocking_seconds", o.blocking_s, "%.6f")
+      .num("overlap_seconds", o.overlap_s, "%.6f")
+      .num("hidden_seconds", o.hidden_s, "%.6f");
 }
 
 }  // namespace
@@ -108,26 +53,19 @@ int main(int argc, char** argv) {
   const auto d = static_cast<index_t>(args.geti("dim", 48));
   const auto r = static_cast<index_t>(args.geti("rank", 6));
   const long pmax = args.geti("pmax", 64);
-  std::string json_path = "BENCH_overlap.json";
-  std::string compare_path;
-  double fail_under = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-    if (std::strcmp(argv[i], "--compare") == 0)
-      compare_path = "BENCH_overlap.json";
-    if (std::strncmp(argv[i], "--compare=", 10) == 0)
-      compare_path = argv[i] + 10;
-    if (std::strncmp(argv[i], "--fail-under=", 13) == 0)
-      fail_under = std::atof(argv[i] + 13);
-  }
+  const std::string json_path =
+      flag_value(argc, argv, "--json", "BENCH_overlap.json")
+          .value_or("BENCH_overlap.json");
+  const auto compare_path = flag_value(argc, argv, "--compare",
+                                       "BENCH_overlap.json");
 
   // Table 1 analogue: doubling grids, QR front-loaded / Gram back-loaded.
-  struct Row {
+  struct GridRow {
     int p;
     Dims qr;
     Dims gram;
   };
-  std::vector<Row> table = {
+  std::vector<GridRow> table = {
       {1, {1, 1, 1, 1}, {1, 1, 1, 1}},   {2, {2, 1, 1, 1}, {1, 1, 1, 2}},
       {4, {2, 2, 1, 1}, {1, 1, 2, 2}},   {8, {4, 2, 1, 1}, {1, 1, 2, 4}},
       {16, {4, 4, 1, 1}, {1, 1, 4, 4}},  {32, {8, 4, 1, 1}, {1, 1, 4, 8}},
@@ -233,29 +171,17 @@ int main(int argc, char** argv) {
   }
   print_rule();
 
-  if (!compare_path.empty()) {
-    const int rc = run_compare(orows, compare_path, fail_under);
-    if (rc != 0) return rc;
-  } else {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"dims\": \"%ld^4\",\n  \"window\": %ld,\n"
-                 "  \"alpha\": %.3e,\n  \"results\": [\n",
-                 static_cast<long>(d), window, oalpha);
-    for (std::size_t i = 0; i < orows.size(); ++i) {
-      const auto& o = orows[i];
-      std::fprintf(f,
-                   "    {\"p\": %d, \"blocking_seconds\": %.6f, "
-                   "\"overlap_seconds\": %.6f, \"hidden_seconds\": %.6f}%s\n",
-                   o.p, o.blocking_s, o.overlap_s, o.hidden_s,
-                   i + 1 < orows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s (%zu rows)\n", json_path.c_str(), orows.size());
-  }
-  return 0;
+  std::vector<Row> jrows;
+  for (const auto& o : orows) jrows.push_back(to_row(o));
+  if (compare_path)
+    return compare_rows(jrows, *compare_path,
+                        {{"p"}, "overlap_seconds", Better::kLower, {}},
+                        fail_under_arg(argc, argv));
+  return write_rows(json_path,
+                    Row()
+                        .str("dims", std::to_string(d) + "^4")
+                        .integer("window", window)
+                        .num("alpha", oalpha, "%.3e"),
+                    jrows);
 }
+

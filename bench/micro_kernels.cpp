@@ -14,15 +14,12 @@
 // sit near the flop peak, memory-bound ones near bandwidth).
 // --compare[=PATH] runs the same sweep and diffs it against the committed
 // JSON instead of overwriting it, printing per-row speedups -- the
-// regression check for kernel work.
+// regression check for kernel work (bench/harness.hpp gates both sweeps).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,7 +28,9 @@
 #include "common/flops.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "common/tuning.hpp"
 #include "data/synthetic_matrix.hpp"
+#include "harness.hpp"
 #include "lapack/eig.hpp"
 #include "lapack/tridiag_eig.hpp"
 #include "lapack/qr.hpp"
@@ -42,6 +41,8 @@
 
 namespace {
 
+using tucker::bench::Row;
+using tucker::bench::time_best;
 using tucker::blas::index_t;
 using tucker::blas::Matrix;
 using tucker::blas::MatView;
@@ -267,19 +268,6 @@ BENCHMARK_TEMPLATE(BM_ttm_threads, double)
 
 // ------------------------------------------------- JSON sweep mode
 
-// Best-of-reps wall seconds for fn().
-template <class F>
-double time_best(F&& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 struct SweepRow {
   const char* kernel;
   const char* precision;
@@ -308,12 +296,10 @@ void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
     double base = 0;
     for (int w : widths) {
       tucker::parallel::set_max_threads(w);
-      const double s = time_best(
-          [&] {
-            tucker::blas::gemm(T(1), MatView<const T>(a.view()),
-                               MatView<const T>(b.view()), T(0), c.view());
-          },
-          2);
+      const double s = time_best(2, [&] {
+        tucker::blas::gemm(T(1), MatView<const T>(a.view()),
+                           MatView<const T>(b.view()), T(0), c.view());
+      });
       if (w == 1) base = s;
       rows.push_back({"gemm", prec, n, w, s, flops / s * 1e-9,
                       bytes / s * 1e-9, base / s});
@@ -330,12 +316,10 @@ void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
     double base = 0;
     for (int w : widths) {
       tucker::parallel::set_max_threads(w);
-      const double s = time_best(
-          [&] {
-            tucker::blas::syrk(T(1), MatView<const T>(a.view()), T(0),
-                               g.view());
-          },
-          2);
+      const double s = time_best(2, [&] {
+        tucker::blas::syrk(T(1), MatView<const T>(a.view()), T(0),
+                           g.view());
+      });
       if (w == 1) base = s;
       rows.push_back({"syrk", prec, m, w, s, flops / s * 1e-9,
                       bytes / s * 1e-9, base / s});
@@ -358,12 +342,10 @@ void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
     double base = 0;
     for (int w : widths) {
       tucker::parallel::set_max_threads(w);
-      const double s = time_best(
-          [&] {
-            tucker::tensor::ttm_into(x, 1, MatView<const T>(u.view()), y);
-            benchmark::DoNotOptimize(y.data());
-          },
-          2);
+      const double s = time_best(2, [&] {
+        tucker::tensor::ttm_into(x, 1, MatView<const T>(u.view()), y);
+        benchmark::DoNotOptimize(y.data());
+      });
       if (w == 1) base = s;
       rows.push_back({"ttm", prec, d, w, s, flops / s * 1e-9,
                       bytes / s * 1e-9, base / s});
@@ -372,8 +354,11 @@ void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
   // sketch: width-24 Gaussian sketch of the mode-1 unfolding of a d^3 cube
   // (the randomized engine's factorization kernel; Omega is generated on
   // the fly, so the byte count is the payload-aware streamed-gemm model
-  // from flops::sketch_bytes, at the active payload word).
+  // from flops::sketch_bytes, at the default payload word).
   {
+    const auto payload = tucker::tune::sketch_half_default()
+                             ? tucker::tensor::SketchPayload::kHalf
+                             : tucker::tensor::SketchPayload::kNative;
     const index_t d = 160, wid = 24;
     tucker::tensor::Tensor<T> x({d, d, d});
     tucker::Rng rng(6);
@@ -384,18 +369,15 @@ void sweep_kernels(std::vector<SweepRow>& rows, const char* prec) {
                                        wid));
     const double bytes = static_cast<double>(tucker::flops::sketch_bytes(
         d, static_cast<std::int64_t>(d) * d, wid, sizeof(T),
-        tucker::tensor::sketch_payload_word(tucker::tensor::sketch_payload(),
-                                            sizeof(T))));
+        tucker::tensor::sketch_payload_word(payload, sizeof(T))));
     double base = 0;
     for (int w : widths) {
       tucker::parallel::set_max_threads(w);
-      const double s = time_best(
-          [&] {
-            tucker::tensor::sketch_unfolding_cols(x, 1, 0x5eedULL, 0, wid,
-                                                  s_out.view());
-            benchmark::DoNotOptimize(s_out.data());
-          },
-          2);
+      const double s = time_best(2, [&] {
+        tucker::tensor::sketch_unfolding_cols(x, 1, 0x5eedULL, 0, wid,
+                                              s_out.view(), payload);
+        benchmark::DoNotOptimize(s_out.data());
+      });
       if (w == 1) base = s;
       rows.push_back({"sketch", prec, d, w, s, flops / s * 1e-9,
                       bytes / s * 1e-9, base / s});
@@ -415,7 +397,8 @@ void run_sweep(std::vector<SweepRow>& rows) {
 // thread width). `size` carries the rank; speedup_vs_ref is the
 // reference/packed time ratio (1.0 on reference rows). Written to
 // BENCH_ttm.json by --ttm-json and gated by --compare-ttm --fail-under
-// (against the baseline) and by kTtmOracleFloor (against the same run).
+// (against the baseline) and by kTtmGate's oracle floor (against the
+// same run).
 struct TtmRow {
   std::string kernel;  // "ttm<mode>_packed" / "ttm<mode>_ref"
   const char* precision;
@@ -454,17 +437,15 @@ void sweep_ttm(std::vector<TtmRow>& rows, const char* prec) {
         // of each. Both engines are called directly (ttm_into runs the
         // packed one; the reference one is the oracle).
         auto time_once = [&](bool reference) {
-          return time_best(
-              [&] {
-                if (reference) {
-                  tucker::tensor::detail::ttm_reference_into<T>(x, mode, ut,
-                                                                y);
-                } else {
-                  tucker::tensor::detail::ttm_packed_into<T>(x, mode, ut, y);
-                }
-                benchmark::DoNotOptimize(y.data());
-              },
-              1);
+          return time_best(1, [&] {
+            if (reference) {
+              tucker::tensor::detail::ttm_reference_into<T>(x, mode, ut,
+                                                            y);
+            } else {
+              tucker::tensor::detail::ttm_packed_into<T>(x, mode, ut, y);
+            }
+            benchmark::DoNotOptimize(y.data());
+          });
         };
         double ref_s = 1e300, pk_s = 1e300;
         for (int rep = 0; rep < 5; ++rep) {
@@ -488,238 +469,83 @@ void run_ttm_sweep(std::vector<TtmRow>& rows) {
   sweep_ttm<double>(rows, "double");
 }
 
-// JSON writer and baseline gate live after the compare-mode section (they
-// reuse load_baseline / BaselineRow).
-
-int run_json_sweep(const std::string& path) {
-  std::vector<SweepRow> rows;
-  run_sweep(rows);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"max_threads_default\": %d,\n  \"results\": [\n",
-               tucker::parallel::max_threads());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"precision\": \"%s\", "
-                 "\"size\": %lld, \"threads\": %d, \"seconds\": %.6f, "
-                 "\"gflops\": %.3f, \"gbytes_per_s\": %.3f, "
-                 "\"speedup_vs_1t\": %.3f}%s\n",
-                 r.kernel, r.precision, static_cast<long long>(r.size),
-                 r.threads, r.seconds, r.gflops, r.gbytes_per_s,
-                 r.speedup_vs_1t, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
-  return 0;
+Row to_row(const SweepRow& r) {
+  return Row()
+      .str("kernel", r.kernel)
+      .str("precision", r.precision)
+      .integer("size", r.size)
+      .integer("threads", r.threads)
+      .num("seconds", r.seconds, "%.6f")
+      .num("gflops", r.gflops)
+      .num("gbytes_per_s", r.gbytes_per_s)
+      .num("speedup_vs_1t", r.speedup_vs_1t);
 }
 
-// ------------------------------------------------------------ compare mode
-
-struct BaselineRow {
-  char kernel[32];
-  char precision[16];
-  long long size;
-  int threads;
-  double gflops;
-};
-
-// Parses the rows of a BENCH_kernels.json written by run_json_sweep (one
-// object per line). Tolerates the pre-roofline schema (no gbytes_per_s).
-std::vector<BaselineRow> load_baseline(const std::string& path) {
-  std::vector<BaselineRow> rows;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) return rows;
-  char line[512];
-  while (std::fgets(line, sizeof(line), f)) {
-    BaselineRow r{};
-    const char* k = std::strstr(line, "\"kernel\": \"");
-    const char* p = std::strstr(line, "\"precision\": \"");
-    const char* s = std::strstr(line, "\"size\": ");
-    const char* t = std::strstr(line, "\"threads\": ");
-    const char* g = std::strstr(line, "\"gflops\": ");
-    if (!k || !p || !s || !t || !g) continue;
-    if (std::sscanf(k, "\"kernel\": \"%31[^\"]", r.kernel) != 1) continue;
-    if (std::sscanf(p, "\"precision\": \"%15[^\"]", r.precision) != 1)
-      continue;
-    if (std::sscanf(s, "\"size\": %lld", &r.size) != 1) continue;
-    if (std::sscanf(t, "\"threads\": %d", &r.threads) != 1) continue;
-    if (std::sscanf(g, "\"gflops\": %lf", &r.gflops) != 1) continue;
-    rows.push_back(r);
-  }
-  std::fclose(f);
-  return rows;
+Row to_row(const TtmRow& r) {
+  return Row()
+      .str("kernel", r.kernel)
+      .str("precision", r.precision)
+      .integer("size", r.size)
+      .integer("threads", r.threads)
+      .num("seconds", r.seconds, "%.6f")
+      .num("gflops", r.gflops)
+      .num("gbytes_per_s", r.gbytes_per_s)
+      .num("speedup_vs_ref", r.speedup_vs_ref);
 }
 
-// fail_under <= 0 disables the gate; otherwise any matched row's
-// new/baseline GFLOPS ratio below it makes the run fail (exit 2) -- the CI
-// kernel-regression check.
-int run_compare(const std::string& path, double fail_under) {
-  const auto base = load_baseline(path);
-  if (base.empty()) {
-    std::fprintf(stderr, "no baseline rows in %s\n", path.c_str());
-    return 1;
-  }
-  std::vector<SweepRow> rows;
-  run_sweep(rows);
-  std::printf("%-6s %-7s %6s %3s | %9s %9s | %9s %7s\n", "kernel", "prec",
-              "size", "thr", "base GF", "new GF", "new GB/s", "ratio");
-  int matched = 0;
-  double worst = 1e300;
-  for (const auto& r : rows) {
-    const BaselineRow* b = nullptr;
-    for (const auto& cand : base)
-      if (std::strcmp(cand.kernel, r.kernel) == 0 &&
-          std::strcmp(cand.precision, r.precision) == 0 &&
-          cand.size == r.size && cand.threads == r.threads)
-        b = &cand;
-    if (!b) continue;
-    ++matched;
-    const double ratio = r.gflops / b->gflops;
-    worst = std::min(worst, ratio);
-    std::printf("%-6s %-7s %6lld %3d | %9.3f %9.3f | %9.3f %6.2fx\n",
-                r.kernel, r.precision, static_cast<long long>(r.size),
-                r.threads, b->gflops, r.gflops, r.gbytes_per_s, ratio);
-  }
-  if (matched == 0) {
-    std::fprintf(stderr, "no rows matched the baseline schema\n");
-    return 1;
-  }
-  std::printf("%d rows compared; worst ratio %.2fx\n", matched, worst);
-  if (fail_under > 0 && worst < fail_under) {
-    std::fprintf(stderr, "worst ratio %.2fx below --fail-under=%.2f\n",
-                 worst, fail_under);
-    return 2;
-  }
-  return 0;
+// Both sweeps gate on the matched rows' new/baseline GFLOPS ratio,
+// failing below --fail-under.
+template <class SweepRowT>
+std::vector<Row> json_rows(void (*sweep)(std::vector<SweepRowT>&)) {
+  std::vector<SweepRowT> rows;
+  sweep(rows);
+  std::vector<Row> out;
+  for (const auto& r : rows) out.push_back(to_row(r));
+  return out;
 }
 
-int run_ttm_json(const std::string& path) {
-  std::vector<TtmRow> rows;
-  run_ttm_sweep(rows);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"max_threads_default\": %d,\n  \"results\": [\n",
-               tucker::parallel::max_threads());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"precision\": \"%s\", "
-                 "\"size\": %lld, \"threads\": %d, \"seconds\": %.6f, "
-                 "\"gflops\": %.3f, \"gbytes_per_s\": %.3f, "
-                 "\"speedup_vs_ref\": %.3f}%s\n",
-                 r.kernel.c_str(), r.precision,
-                 static_cast<long long>(r.size), r.threads, r.seconds,
-                 r.gflops, r.gbytes_per_s, r.speedup_vs_ref,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
-  return 0;
-}
+const tucker::bench::Gate kKernelGate = {
+    {"kernel", "precision", "size", "threads"}, "gflops",
+    tucker::bench::Better::kHigher, {}};
 
-// Same-run oracle floor of the TTM gate: a packed row below this fraction
-// of its interleaved reference row (speedup_vs_ref) fails the compare run
-// on any host. The absolute baseline ratio cannot see a packed kernel
-// losing to its own oracle on a machine unlike the one that recorded the
-// baseline; this ratio can.
-constexpr double kTtmOracleFloor = 2.0 / 3.0;
+// The TTM gate adds a same-run oracle floor: a packed row below 2/3 of its
+// interleaved reference row (speedup_vs_ref) fails the compare run on any
+// host. The absolute baseline ratio cannot see a packed kernel losing to
+// its own oracle on a machine unlike the one that recorded the baseline;
+// this ratio can.
+const tucker::bench::Gate kTtmGate = {
+    {"kernel", "precision", "size", "threads"},
+    "gflops",
+    tucker::bench::Better::kHigher,
+    {{"packed/reference ratio",
+      [](const Row& r) {
+        return r.text("kernel").find("_packed") != std::string::npos;
+      },
+      "speedup_vs_ref", 2.0 / 3.0}}};
 
-// Same gate semantics as run_compare, against a BENCH_ttm.json baseline
-// (load_baseline already tolerates the extra speedup_vs_ref field), plus
-// the same-run oracle floor above.
-int run_ttm_compare(const std::string& path, double fail_under) {
-  const auto base = load_baseline(path);
-  if (base.empty()) {
-    std::fprintf(stderr, "no baseline rows in %s\n", path.c_str());
-    return 1;
-  }
-  std::vector<TtmRow> rows;
-  run_ttm_sweep(rows);
-  std::printf("%-12s %-7s %5s %3s | %9s %9s | %9s %7s\n", "kernel", "prec",
-              "rank", "thr", "base GF", "new GF", "new GB/s", "ratio");
-  int matched = 0;
-  double worst = 1e300;
-  for (const auto& r : rows) {
-    const BaselineRow* b = nullptr;
-    for (const auto& cand : base)
-      if (r.kernel == cand.kernel &&
-          std::strcmp(cand.precision, r.precision) == 0 &&
-          cand.size == r.size && cand.threads == r.threads)
-        b = &cand;
-    if (!b) continue;
-    ++matched;
-    const double ratio = r.gflops / b->gflops;
-    worst = std::min(worst, ratio);
-    std::printf("%-12s %-7s %5lld %3d | %9.3f %9.3f | %9.3f %6.2fx\n",
-                r.kernel.c_str(), r.precision, static_cast<long long>(r.size),
-                r.threads, b->gflops, r.gflops, r.gbytes_per_s, ratio);
-  }
-  if (matched == 0) {
-    std::fprintf(stderr, "no rows matched the baseline schema\n");
-    return 1;
-  }
-  std::printf("%d rows compared; worst ratio %.2fx\n", matched, worst);
-  double worst_oracle = 1e300;
-  for (const auto& r : rows) {
-    if (r.kernel.find("_packed") == std::string::npos) continue;
-    worst_oracle = std::min(worst_oracle, r.speedup_vs_ref);
-    if (r.speedup_vs_ref < kTtmOracleFloor)
-      std::fprintf(stderr, "%s %s rank %lld width %d: %.2fx of its reference\n",
-                   r.kernel.c_str(), r.precision,
-                   static_cast<long long>(r.size), r.threads,
-                   r.speedup_vs_ref);
-  }
-  std::printf("worst packed/reference ratio in this run %.2fx (floor %.2f)\n",
-              worst_oracle, kTtmOracleFloor);
-  int rc = 0;
-  if (fail_under > 0 && worst < fail_under) {
-    std::fprintf(stderr, "worst ratio %.2fx below --fail-under=%.2f\n", worst,
-                 fail_under);
-    rc = 2;
-  }
-  if (worst_oracle < kTtmOracleFloor) {
-    std::fprintf(stderr, "packed TTM below %.2f of its same-run reference\n",
-                 kTtmOracleFloor);
-    rc = 2;
-  }
-  return rc;
+Row json_header() {
+  return Row().integer("max_threads_default",
+                       tucker::parallel::max_threads());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  double fail_under = 0;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--fail-under=", 13) == 0)
-      fail_under = std::atof(argv[i] + 13);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--kernels-json", 14) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return run_json_sweep(eq ? eq + 1 : "BENCH_kernels.json");
-    }
-    if (std::strncmp(argv[i], "--ttm-json", 10) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return run_ttm_json(eq ? eq + 1 : "BENCH_ttm.json");
-    }
-    // Note: matched before the "--compare" prefix below.
-    if (std::strncmp(argv[i], "--compare-ttm", 13) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return run_ttm_compare(eq ? eq + 1 : "BENCH_ttm.json", fail_under);
-    }
-    if (std::strncmp(argv[i], "--compare", 9) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return run_compare(eq ? eq + 1 : "BENCH_kernels.json", fail_under);
-    }
-  }
+  namespace tb = tucker::bench;
+  const double fail_under = tb::fail_under_arg(argc, argv);
+  if (auto path = tb::flag_value(argc, argv, "--kernels-json",
+                                 "BENCH_kernels.json"))
+    return tb::write_rows(*path, json_header(), json_rows(run_sweep));
+  if (auto path = tb::flag_value(argc, argv, "--ttm-json", "BENCH_ttm.json"))
+    return tb::write_rows(*path, json_header(), json_rows(run_ttm_sweep));
+  if (auto path = tb::flag_value(argc, argv, "--compare-ttm",
+                                 "BENCH_ttm.json"))
+    return tb::compare_rows(json_rows(run_ttm_sweep), *path, kTtmGate,
+                            fail_under);
+  if (auto path = tb::flag_value(argc, argv, "--compare",
+                                 "BENCH_kernels.json"))
+    return tb::compare_rows(json_rows(run_sweep), *path, kKernelGate,
+                            fail_under);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

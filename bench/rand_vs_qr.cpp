@@ -22,7 +22,7 @@
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
-#include "common/timer.hpp"
+#include "harness.hpp"
 #include "simmpi/cost_model.hpp"
 
 using namespace tucker::bench;
@@ -31,17 +31,6 @@ namespace {
 
 using tucker::core::RandSvdOptions;
 using tucker::tensor::Tensor;
-
-template <class F>
-double time_best_of(int reps, F&& f) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    tucker::WallTimer t;
-    f();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 /// Relative error of keeping the leading r directions of a basis whose
 /// captured energies are sigma_sq: sqrt(discarded / total).
@@ -75,9 +64,9 @@ int main(int argc, char** argv) {
   Args args(argc, argv);
   const bool smoke = args.geti("smoke", 0) != 0;
   const auto n = static_cast<index_t>(args.geti("n", smoke ? 40 : 128));
-  std::string json_path = "BENCH_rand.json";
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
+  const std::string json_path =
+      flag_value(argc, argv, "--json", "BENCH_rand.json")
+          .value_or("BENCH_rand.json");
   const bool write_json = !smoke || args.geti("json-in-smoke", 0) != 0;
 
   // Cube with a geometric spectrum decaying to 1e-10: numerically low-rank,
@@ -96,7 +85,7 @@ int main(int argc, char** argv) {
 
   // --- exact reference: full QR-SVD of the unfolding --------------------
   auto qr = tucker::core::qr_svd(x, 0);
-  const double t_qr = time_best_of(smoke ? 1 : 2, [&] {
+  const double t_qr = time_best(smoke ? 1 : 2, [&] {
     auto r = tucker::core::qr_svd(x, 0);
     (void)r;
   });
@@ -121,7 +110,7 @@ int main(int argc, char** argv) {
         auto res = tucker::core::rand_svd(x, 0, r, 0.0, opt);
         std::vector<double> sq(res.sigma_sq.begin(), res.sigma_sq.end());
         const double err = tail_error(sq, r, norm_sq);
-        const double t = time_best_of(smoke ? 1 : 2, [&] {
+        const double t = time_best(smoke ? 1 : 2, [&] {
           auto rr = tucker::core::rand_svd(x, 0, r, 0.0, opt);
           (void)rr;
         });
@@ -235,27 +224,19 @@ int main(int argc, char** argv) {
   print_rule();
 
   if (write_json) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    std::vector<Row> jrows;
+    for (const auto& r : rows)
+      jrows.push_back(Row()
+                          .integer("rank", r.rank)
+                          .integer("oversample", r.oversample)
+                          .integer("q", r.q)
+                          .num("seconds", r.t_rand, "%.6f")
+                          .num("speedup_vs_qr", t_qr / r.t_rand)
+                          .num("err", r.err_rand, "%.6e"));
+    if (write_rows(json_path,
+                   Row().integer("n", n).num("t_qr_full", t_qr, "%.6f"),
+                   jrows) != 0)
       return 1;
-    }
-    std::fprintf(f, "{\n  \"n\": %ld,\n  \"t_qr_full\": %.6f,\n"
-                 "  \"results\": [\n", static_cast<long>(n), t_qr);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
-      std::fprintf(f,
-                   "    {\"rank\": %ld, \"oversample\": %ld, \"q\": %d, "
-                   "\"seconds\": %.6f, \"speedup_vs_qr\": %.3f, "
-                   "\"err\": %.6e}%s\n",
-                   static_cast<long>(r.rank),
-                   static_cast<long>(r.oversample), r.q, r.t_rand,
-                   t_qr / r.t_rand, r.err_rand,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s (%zu rows)\n", json_path.c_str(), rows.size());
   }
 
   if (failures > 0) {

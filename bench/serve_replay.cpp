@@ -28,9 +28,9 @@
 // Modes:
 //   --serve-json[=PATH]  write the replay to BENCH_serve.json (default)
 //   --compare[=PATH]     re-run and diff per-class rps against the
-//                        committed baseline; exit 2 when any ratio drops
-//                        below --fail-under=X or the batched_speedup rel
-//                        falls below its 1.3x floor
+//                        committed baseline (bench/harness.hpp); exit 2
+//                        when any ratio drops below --fail-under=X or the
+//                        batched_speedup rel falls below its 1.3x floor
 //   --smoke[=1]          quick determinism check: the same batch must
 //                        produce bitwise-identical responses across
 //                        worker counts {1, 2} x batch_max {1, 3, 8}
@@ -55,6 +55,7 @@
 #include "core/sthosvd.hpp"
 #include "core/tucker_tensor.hpp"
 #include "data/synthetic_tensor.hpp"
+#include "harness.hpp"
 #include "serve/service.hpp"
 #include "tensor/tensor.hpp"
 
@@ -416,27 +417,20 @@ void print_rows(const std::vector<Row>& rows) {
                 r.requests, r.rps, r.p50_ms, r.p99_ms, r.rel);
 }
 
-int run_json(const std::string& path, int requests) {
-  std::vector<Row> rows;
-  run_all(requests, rows);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::fprintf(f,
-                 "    {\"class\": \"%s\", \"requests\": %d, \"rps\": %.3f, "
-                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"rel\": %.3f}%s\n",
-                 r.klass.c_str(), r.requests, r.rps, r.p50_ms, r.p99_ms,
-                 r.rel, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
-  print_rows(rows);
+std::vector<tucker::bench::Row> json_rows(const std::vector<Row>& rows) {
+  std::vector<tucker::bench::Row> out;
+  for (const auto& r : rows)
+    out.push_back(tucker::bench::Row()
+                      .str("class", r.klass)
+                      .integer("requests", r.requests)
+                      .num("rps", r.rps)
+                      .num("p50_ms", r.p50_ms, "%.4f")
+                      .num("p99_ms", r.p99_ms, "%.4f")
+                      .num("rel", r.rel));
+  return out;
+}
+
+void warn_below_targets(const std::vector<Row>& rows) {
   for (const auto& r : rows) {
     if (r.klass == "fastpath_speedup" && r.rel < 1.5)
       std::fprintf(stderr,
@@ -447,78 +441,20 @@ int run_json(const std::string& path, int requests) {
                    "WARNING: batched speedup %.2fx below the 1.3x target\n",
                    r.rel);
   }
-  return 0;
 }
 
-// ----------------------------------------------------------- compare mode
-
-struct BaselineRow {
-  char klass[32];
-  double rps;
-};
-
-std::vector<BaselineRow> load_baseline(const std::string& path) {
-  std::vector<BaselineRow> rows;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) return rows;
-  char line[512];
-  while (std::fgets(line, sizeof(line), f)) {
-    BaselineRow r{};
-    const char* k = std::strstr(line, "\"class\": \"");
-    const char* g = std::strstr(line, "\"rps\": ");
-    if (!k || !g) continue;
-    if (std::sscanf(k, "\"class\": \"%31[^\"]", r.klass) != 1) continue;
-    if (std::sscanf(g, "\"rps\": %lf", &r.rps) != 1) continue;
-    rows.push_back(r);
-  }
-  std::fclose(f);
-  return rows;
-}
-
-int run_compare(const std::string& path, double fail_under, int requests) {
-  const auto base = load_baseline(path);
-  if (base.empty()) {
-    std::fprintf(stderr, "no baseline rows in %s\n", path.c_str());
-    return 1;
-  }
-  std::vector<Row> rows;
-  run_all(requests, rows);
-  std::printf("%-18s | %9s %9s | %6s\n", "class", "base rps", "new rps",
-              "ratio");
-  int matched = 0;
-  double worst = 1e300;
-  for (const auto& r : rows) {
-    const BaselineRow* b = nullptr;
-    for (const auto& cand : base)
-      if (r.klass == cand.klass) b = &cand;
-    if (!b || b->rps <= 0) continue;
-    ++matched;
-    const double ratio = r.rps / b->rps;
-    worst = std::min(worst, ratio);
-    std::printf("%-18s | %9.2f %9.2f | %5.2fx\n", r.klass.c_str(), b->rps,
-                r.rps, ratio);
-  }
-  if (matched == 0) {
-    std::fprintf(stderr, "no rows matched the baseline schema\n");
-    return 1;
-  }
-  std::printf("%d rows compared; worst ratio %.2fx\n", matched, worst);
-  if (fail_under > 0 && worst < fail_under) {
-    std::fprintf(stderr, "worst ratio %.2fx below --fail-under=%.2f\n", worst,
-                 fail_under);
-    return 2;
-  }
-  // The batched gate is absolute, not baseline-relative: fusing a
-  // same-model burst must beat running it solo by 1.3x wherever the
-  // binary runs, or the batching layer has regressed.
-  for (const auto& r : rows)
-    if (r.klass == "batched_speedup" && r.rel < 1.3) {
-      std::fprintf(stderr, "batched speedup %.2fx below the 1.3x floor\n",
-                   r.rel);
-      return 2;
-    }
-  return 0;
-}
+// The batched floor is absolute, not baseline-relative: fusing a
+// same-model burst must beat running it solo by 1.3x wherever the binary
+// runs, or the batching layer has regressed.
+const tucker::bench::Gate kServeGate = {
+    {"class"},
+    "rps",
+    tucker::bench::Better::kHigher,
+    {{"batched speedup",
+      [](const tucker::bench::Row& r) {
+        return r.text("class") == "batched_speedup";
+      },
+      "rel", 1.3}}};
 
 // ------------------------------------------------------------- smoke mode
 
@@ -606,28 +542,23 @@ int run_smoke() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double fail_under = 0;
-  int requests = 48;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--fail-under=", 13) == 0)
-      fail_under = std::atof(argv[i] + 13);
-    if (std::strncmp(argv[i], "--requests=", 11) == 0)
-      requests = std::atoi(argv[i] + 11);
-  }
-  for (int i = 1; i < argc; ++i) {
+  namespace tb = tucker::bench;
+  const int requests = std::atoi(
+      tb::flag_value(argc, argv, "--requests", "48").value_or("48").c_str());
+  for (int i = 1; i < argc; ++i)
     if (std::strncmp(argv[i], "--smoke", 7) == 0) return run_smoke();
-    if (std::strncmp(argv[i], "--serve-json", 12) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return run_json(eq ? eq + 1 : "BENCH_serve.json", requests);
-    }
-    if (std::strncmp(argv[i], "--compare", 9) == 0) {
-      const char* eq = std::strchr(argv[i], '=');
-      return run_compare(eq ? eq + 1 : "BENCH_serve.json", fail_under,
-                         requests);
-    }
-  }
   std::vector<Row> rows;
+  if (auto path = tb::flag_value(argc, argv, "--compare", "BENCH_serve.json")) {
+    run_all(requests, rows);
+    return tb::compare_rows(json_rows(rows), *path, kServeGate,
+                            tb::fail_under_arg(argc, argv));
+  }
   run_all(requests, rows);
   print_rows(rows);
+  if (auto path = tb::flag_value(argc, argv, "--serve-json",
+                                 "BENCH_serve.json")) {
+    warn_below_targets(rows);
+    return tb::write_rows(*path, tb::Row(), json_rows(rows));
+  }
   return 0;
 }

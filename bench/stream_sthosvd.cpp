@@ -9,7 +9,7 @@
 // --json=PATH records the sweep (BENCH_stream.json by default);
 // --compare[=PATH] --fail-under=X re-runs the sweep and gates on the
 // per-budget time ratio against the recorded baseline (the CI
-// stream-regression check, micro_kernels style).
+// stream-regression check, through bench/harness.hpp).
 //
 // --smoke=1 shrinks the input and *enforces* correctness: streaming error
 // within 10% of the in-memory error, arena high-water under 2x the budget
@@ -24,8 +24,8 @@
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
-#include "common/timer.hpp"
 #include "common/workspace.hpp"
+#include "harness.hpp"
 #include "stream/stream_sthosvd.hpp"
 
 using namespace tucker::bench;
@@ -37,17 +37,6 @@ using tucker::stream::InMemorySource;
 using tucker::stream::StreamOptions;
 using tucker::stream::StreamSthosvdResult;
 using tucker::tensor::Tensor;
-
-template <class F>
-double time_best_of(int reps, F&& f) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    tucker::WallTimer t;
-    f();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 struct SweepRow {
   long long budget_kib;
@@ -76,69 +65,15 @@ std::vector<std::size_t> budget_ladder(std::size_t total_bytes) {
           2 * total_bytes};
 }
 
-// ------------------------------------------------------------ compare mode
-
-struct BaselineRow {
-  long long budget_kib;
-  double seconds;
-};
-
-// Parses the rows of a BENCH_stream.json written below (one object per
-// line); only the gate's keys are read.
-std::vector<BaselineRow> load_baseline(const std::string& path) {
-  std::vector<BaselineRow> rows;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) return rows;
-  char line[512];
-  while (std::fgets(line, sizeof(line), f)) {
-    BaselineRow r{};
-    const char* b = std::strstr(line, "\"budget_kib\": ");
-    const char* s = std::strstr(line, "\"seconds\": ");
-    if (!b || !s) continue;
-    if (std::sscanf(b, "\"budget_kib\": %lld", &r.budget_kib) != 1) continue;
-    if (std::sscanf(s, "\"seconds\": %lf", &r.seconds) != 1) continue;
-    rows.push_back(r);
-  }
-  std::fclose(f);
-  return rows;
-}
-
-// fail_under <= 0 disables the gate; otherwise any matched budget whose
-// baseline/new time ratio falls below it makes the run fail (exit 2) --
-// the CI stream-regression check.
-int run_compare(const std::vector<SweepRow>& rows, const std::string& path,
-                double fail_under) {
-  const auto base = load_baseline(path);
-  if (base.empty()) {
-    std::fprintf(stderr, "no baseline rows in %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("%10s | %9s %9s | %7s\n", "budget", "base s", "new s",
-              "ratio");
-  int matched = 0;
-  double worst = 1e300;
-  for (const auto& r : rows) {
-    const BaselineRow* b = nullptr;
-    for (const auto& cand : base)
-      if (cand.budget_kib == r.budget_kib) b = &cand;
-    if (!b) continue;
-    ++matched;
-    const double ratio = b->seconds / r.seconds;  // >1 = new is faster
-    worst = std::min(worst, ratio);
-    std::printf("%7lldKiB | %9.4f %9.4f | %6.2fx\n", r.budget_kib,
-                b->seconds, r.seconds, ratio);
-  }
-  if (matched == 0) {
-    std::fprintf(stderr, "no rows matched the baseline schema\n");
-    return 1;
-  }
-  std::printf("%d rows compared; worst ratio %.2fx\n", matched, worst);
-  if (fail_under > 0 && worst < fail_under) {
-    std::fprintf(stderr, "worst ratio %.2fx below --fail-under=%.2f\n",
-                 worst, fail_under);
-    return 2;
-  }
-  return 0;
+Row to_row(const SweepRow& r) {
+  return Row()
+      .integer("budget_kib", r.budget_kib)
+      .num("seconds", r.seconds, "%.6f")
+      .num("slowdown_vs_inmem", r.slowdown)
+      .num("err", r.err, "%.6e")
+      .num("hwm_over_budget", r.hwm_over_budget)
+      .num("spill_mb", r.spill_mb, "%.2f")
+      .integer("gathered_after", r.gathered_after);
 }
 
 }  // namespace
@@ -146,20 +81,13 @@ int run_compare(const std::vector<SweepRow>& rows, const std::string& path,
 int main(int argc, char** argv) {
   Args args(argc, argv);
   const bool smoke = args.geti("smoke", 0) != 0;
-  std::string json_path = "BENCH_stream.json";
-  std::string compare_path;
-  double fail_under = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-    if (std::strcmp(argv[i], "--compare") == 0)
-      compare_path = "BENCH_stream.json";
-    if (std::strncmp(argv[i], "--compare=", 10) == 0)
-      compare_path = argv[i] + 10;
-    if (std::strncmp(argv[i], "--fail-under=", 13) == 0)
-      fail_under = std::atof(argv[i] + 13);
-  }
+  const std::string json_path =
+      flag_value(argc, argv, "--json", "BENCH_stream.json")
+          .value_or("BENCH_stream.json");
+  const auto compare_path = flag_value(argc, argv, "--compare",
+                                       "BENCH_stream.json");
   const bool write_json =
-      compare_path.empty() && (!smoke || args.geti("json-in-smoke", 0) != 0);
+      !compare_path && (!smoke || args.geti("json-in-smoke", 0) != 0);
 
   // Long-trailing-mode tensor with geometric per-mode spectra: the stream
   // driver's target shape (the trailing mode is the slab axis). The smoke
@@ -189,7 +117,7 @@ int main(int argc, char** argv) {
   ws.reset_high_water();
   auto ref = tucker::core::sthosvd(x, spec, SvdMethod::kQr);
   const std::size_t hwm_inmem = ws.high_water();
-  const double t_inmem = time_best_of(smoke ? 1 : 2, [&] {
+  const double t_inmem = time_best(smoke ? 1 : 2, [&] {
     auto r = tucker::core::sthosvd(x, spec, SvdMethod::kQr);
     (void)r;
   });
@@ -218,7 +146,7 @@ int main(int argc, char** argv) {
                                               SvdMethod::kStream, sopt);
     const double err =
         relative_error(x, out.decomposition.tucker.reconstruct());
-    const double t = time_best_of(smoke ? 1 : 2, [&] {
+    const double t = time_best(smoke ? 1 : 2, [&] {
       InMemorySource<double> s2(x, slices);
       auto r = tucker::stream::stream_sthosvd(s2, spec,
                                               SvdMethod::kStream, sopt);
@@ -288,32 +216,21 @@ int main(int argc, char** argv) {
   }
   print_rule();
 
-  if (!compare_path.empty()) {
-    const int rc = run_compare(rows, compare_path, fail_under);
+  std::vector<Row> jrows;
+  for (const auto& r : rows) jrows.push_back(to_row(r));
+  if (compare_path) {
+    const int rc = compare_rows(jrows, *compare_path,
+                                {{"budget_kib"}, "seconds", Better::kLower, {}},
+                                fail_under_arg(argc, argv));
     if (rc != 0) return rc;
   } else if (write_json) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    if (write_rows(json_path,
+                   Row()
+                       .str("dims", dims_to_string(dims))
+                       .num("t_inmem", t_inmem, "%.6f")
+                       .num("err_inmem", err_inmem, "%.6e"),
+                   jrows) != 0)
       return 1;
-    }
-    std::fprintf(f, "{\n  \"dims\": \"%s\",\n  \"t_inmem\": %.6f,\n"
-                 "  \"err_inmem\": %.6e,\n  \"results\": [\n",
-                 dims_to_string(dims).c_str(), t_inmem, err_inmem);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
-      std::fprintf(f,
-                   "    {\"budget_kib\": %lld, \"seconds\": %.6f, "
-                   "\"slowdown_vs_inmem\": %.3f, \"err\": %.6e, "
-                   "\"hwm_over_budget\": %.3f, \"spill_mb\": %.2f, "
-                   "\"gathered_after\": %d}%s\n",
-                   r.budget_kib, r.seconds, r.slowdown, r.err,
-                   r.hwm_over_budget, r.spill_mb, r.gathered_after,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s (%zu rows)\n", json_path.c_str(), rows.size());
   }
 
   if (failures > 0) {

@@ -34,34 +34,29 @@ namespace detail {
 /// accumulators. The reassociation is written out (not left to fast-math),
 /// so the compiler can vectorize it under strict FP semantics; a single
 /// accumulator would serialize on the FMA latency. Still one rounding per
-/// operation -- as backward stable as the sequential sum. The partials are
-/// TA (Accum::kWide passes wide_t<T>): storage-width loads, wide adds, and
-/// the wide total is returned for the caller to round (or keep, as the
-/// Jacobi column norms do).
-template <class T, class TA = T>
-TA fast_dot(index_t n, const T* x, const T* y) {
+/// operation -- as backward stable as the sequential sum.
+template <class T>
+T fast_dot(index_t n, const T* x, const T* y) {
   constexpr index_t kLanes = 8;
-  TA partial[kLanes] = {};
+  T partial[kLanes] = {};
   index_t i = 0;
   for (; i + kLanes <= n; i += kLanes)
-    for (index_t l = 0; l < kLanes; ++l)
-      partial[l] += static_cast<TA>(x[i + l]) * static_cast<TA>(y[i + l]);
-  TA s = TA(0);
+    for (index_t l = 0; l < kLanes; ++l) partial[l] += x[i + l] * y[i + l];
+  T s = T(0);
   for (index_t l = 0; l < kLanes; ++l) s += partial[l];
-  for (; i < n; ++i) s += static_cast<TA>(x[i]) * static_cast<TA>(y[i]);
+  for (; i < n; ++i) s += x[i] * y[i];
   return s;
 }
 
 }  // namespace detail
 
-/// Dot product of two strided n-vectors, accumulated (and returned) in TA.
-template <class T, class TA = T>
-TA dot(index_t n, const T* x, index_t incx, const T* y, index_t incy) {
+/// Dot product of two strided n-vectors.
+template <class T>
+T dot(index_t n, const T* x, index_t incx, const T* y, index_t incy) {
   add_flops(2 * n);
-  if (incx == 1 && incy == 1) return detail::fast_dot<T, TA>(n, x, y);
-  TA s = TA(0);
-  for (index_t i = 0; i < n; ++i)
-    s += static_cast<TA>(x[i * incx]) * static_cast<TA>(y[i * incy]);
+  if (incx == 1 && incy == 1) return detail::fast_dot(n, x, y);
+  T s = T(0);
+  for (index_t i = 0; i < n; ++i) s += x[i * incx] * y[i * incy];
   return s;
 }
 
@@ -69,57 +64,54 @@ TA dot(index_t n, const T* x, index_t incx, const T* y, index_t incy) {
 /// vectors use a branch-free two-pass scheme (max, then scaled sum of
 /// squares with explicit partial accumulators) that vectorizes; strided
 /// vectors fall back to the classic one-pass update (as in dnrm2).
-/// The scaled squares accumulate in TA; the result is returned in TA (the
-/// scaling arithmetic stays in T so the native instantiation is bitwise
-/// unchanged).
-template <class T, class TA = T>
-TA nrm2(index_t n, const T* x, index_t incx) {
+template <class T>
+T nrm2(index_t n, const T* x, index_t incx) {
   add_flops(2 * n);
-  if (n == 0) return TA(0);
+  if (n == 0) return T(0);
   if (incx == 1) {
     T amax = T(0);
     for (index_t i = 0; i < n; ++i) amax = std::max(amax, std::abs(x[i]));
-    if (amax == T(0)) return TA(0);
+    if (amax == T(0)) return T(0);
     // 1/amax overflows to inf when amax is subnormal (reachable in float
     // for heavily truncated tails); fall back to division there.
     const bool invertible = amax >= std::numeric_limits<T>::min();
     const T inv = invertible ? T(1) / amax : T(0);
     constexpr index_t kLanes = 8;
-    TA partial[kLanes] = {};
+    T partial[kLanes] = {};
     index_t i = 0;
     if (invertible) {
       for (; i + kLanes <= n; i += kLanes)
         for (index_t l = 0; l < kLanes; ++l) {
-          const TA v = static_cast<TA>(x[i + l] * inv);
+          const T v = x[i + l] * inv;
           partial[l] += v * v;
         }
     } else {
       for (; i + kLanes <= n; i += kLanes)
         for (index_t l = 0; l < kLanes; ++l) {
-          const TA v = static_cast<TA>(x[i + l] / amax);
+          const T v = x[i + l] / amax;
           partial[l] += v * v;
         }
     }
-    TA ssq = TA(0);
+    T ssq = T(0);
     for (index_t l = 0; l < kLanes; ++l) ssq += partial[l];
     for (; i < n; ++i) {
-      const TA v = static_cast<TA>(invertible ? x[i] * inv : x[i] / amax);
+      const T v = invertible ? x[i] * inv : x[i] / amax;
       ssq += v * v;
     }
-    return static_cast<TA>(amax) * std::sqrt(ssq);
+    return amax * std::sqrt(ssq);
   }
-  TA scale = TA(0);
-  TA ssq = TA(1);
+  T scale = T(0);
+  T ssq = T(1);
   for (index_t i = 0; i < n; ++i) {
-    const TA v = static_cast<TA>(x[i * incx]);
-    if (v != TA(0)) {
-      TA a = std::abs(v);
+    const T v = x[i * incx];
+    if (v != T(0)) {
+      T a = std::abs(v);
       if (scale < a) {
-        TA r = scale / a;
-        ssq = TA(1) + ssq * r * r;
+        T r = scale / a;
+        ssq = T(1) + ssq * r * r;
         scale = a;
       } else {
-        TA r = a / scale;
+        T r = a / scale;
         ssq += r * r;
       }
     }

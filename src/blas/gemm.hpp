@@ -98,8 +98,6 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
           static_cast<std::size_t>(detail::round_up(jb, kMicroNR) * kb));
       T* apack = ws.get<T>(
           static_cast<std::size_t>(detail::round_up(mc, kMicroMR) * kb));
-      const bool simd =
-          detail::kernel_variant() == detail::KernelVariant::kSimd;
       for (index_t j0 = jlo; j0 < jhi; j0 += jb) {
         const index_t jn = std::min(jb, jhi - j0);
         for (index_t k0 = 0; k0 < k; k0 += kb) {
@@ -116,10 +114,9 @@ void gemm(T alpha, MatView<const T> a, MatView<const T> b, T beta,
                 const T* ap = apack + it * kn;
                 T* cp = c.data() + (i0 + it) * ldc + (j0 + jt);
                 if (mr == kMicroMR && nr == kMicroNR) {
-                  detail::mk_tile<T, TA>(simd, kn, ap, bp, cp, ldc);
+                  detail::mk_tile_simd<T, TA>(kn, ap, bp, cp, ldc);
                 } else {
-                  detail::mk_tile_edge<T, TA>(simd, kn, ap, bp, cp, ldc, mr,
-                                              nr);
+                  detail::mk_tile_edge<T, TA>(kn, ap, bp, cp, ldc, mr, nr);
                 }
               }
             }
@@ -189,7 +186,7 @@ inline index_t prepacked_a_elems(index_t m, index_t k) {
 /// scratch comes from the caller's Workspace. C must be row-contiguous.
 ///
 /// Bitwise contract: same jb/kb blocking, same packed values and the same
-/// mk_tile per-element ascending-k accumulation chain as `gemm` with
+/// mk_tile_simd per-element ascending-k accumulation chain as `gemm` with
 /// beta = 0, so the result is bit-identical to the reference call.
 template <class T, class TA = T>
 void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
@@ -211,7 +208,6 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
   auto scratch = ws.frame();
   T* bpack =
       ws.get<T>(static_cast<std::size_t>(round_up(jb, kMicroNR) * kb));
-  const bool simd = kernel_variant() == KernelVariant::kSimd;
   for (index_t j0 = 0; j0 < n; j0 += jb) {
     const index_t jn = std::min(jb, n - j0);
     for (index_t k0 = 0; k0 < k; k0 += kb) {
@@ -225,9 +221,9 @@ void gemm_prepacked_a(const T* apack, index_t m, index_t k, MatView<const T> b,
           const T* ap = apack + it * k + k0 * kMicroMR;
           T* cp = c.data() + it * ldc + (j0 + jt);
           if (mr == kMicroMR && nr == kMicroNR) {
-            mk_tile<T, TA>(simd, kn, ap, bp, cp, ldc);
+            mk_tile_simd<T, TA>(kn, ap, bp, cp, ldc);
           } else {
-            mk_tile_edge<T, TA>(simd, kn, ap, bp, cp, ldc, mr, nr);
+            mk_tile_edge<T, TA>(kn, ap, bp, cp, ldc, mr, nr);
           }
         }
       }
@@ -305,8 +301,6 @@ void syrk(T alpha, MatView<const T> a, T beta, MatView<T> c) {
         static_cast<std::size_t>(detail::round_up(band_h, kMicroMR) * kb));
     T* rpack = ws.get<T>(
         static_cast<std::size_t>(detail::round_up(rhi, kMicroNR) * kb));
-    const bool simd =
-        detail::kernel_variant() == detail::KernelVariant::kSimd;
     for (index_t k0 = 0; k0 < n; k0 += kb) {
       const index_t kn = std::min(kb, n - k0);
       // Right operand: columns j in [0, rhi) of A^T, i.e. rows of A.
@@ -321,7 +315,7 @@ void syrk(T alpha, MatView<const T> a, T beta, MatView<T> c) {
           const T* bp = rpack + jt * kn;
           T* cp = c.data() + i0 * ldc + jt;
           if (mr == kMicroMR && jt + kMicroNR - 1 <= i0) {
-            detail::mk_tile<T, TA>(simd, kn, ap, bp, cp, ldc);
+            detail::mk_tile_simd<T, TA>(kn, ap, bp, cp, ldc);
           } else {
             // Diagonal-crossing or edge tile: compute the full tile into a
             // local buffer, store back only the lower-triangle entries.
@@ -331,7 +325,7 @@ void syrk(T alpha, MatView<const T> a, T beta, MatView<T> c) {
                 const bool live = r < mr && jt + j <= i0 + r;
                 ctmp[r * kMicroNR + j] = live ? cp[r * ldc + j] : T(0);
               }
-            detail::mk_tile<T, TA>(simd, kn, ap, bp, ctmp, kMicroNR);
+            detail::mk_tile_simd<T, TA>(kn, ap, bp, ctmp, kMicroNR);
             for (index_t r = 0; r < mr; ++r) {
               const index_t jn = std::min(kMicroNR, i0 + r - jt + 1);
               for (index_t j = 0; j < jn; ++j)

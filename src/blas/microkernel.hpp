@@ -11,10 +11,11 @@
 //  - mk_tile_simd: portable fixed-width SIMD via GNU vector extensions
 //    (GCC/Clang). Each accumulator row is one NR-wide vector; the
 //    per-element operation sequence is identical to the scalar kernel.
-//  - mk_tile_scalar: the scalar reference, plain nested loops.
-// The active default comes from the TUCKER_SIMD build option; tests flip
-// `kernel_variant()` at runtime to assert the two are bitwise identical
-// over shape/stride/special-value sweeps (kernel_equivalence_test.cpp).
+//    Every driver calls it; without vector extensions it is the scalar
+//    kernel.
+//  - mk_tile_scalar: the scalar reference, plain nested loops. It is the
+//    test oracle: kernel_equivalence_test calls both tiles directly and
+//    asserts they are bitwise identical over shape/special-value sweeps.
 //
 // Why bitwise determinism survives vectorization: every C element keeps a
 // private accumulator, initialized from C and updated once per k step in
@@ -51,10 +52,6 @@
 
 #include "blas/matview.hpp"
 
-#ifndef TUCKER_SIMD
-#define TUCKER_SIMD 1
-#endif
-
 #if defined(__GNUC__) || defined(__clang__)
 #define TUCKER_HAVE_VEC_EXT 1
 #else
@@ -77,17 +74,6 @@ namespace tucker::blas::detail {
 /// A broadcast and the B load.
 inline constexpr index_t kMicroMR = 4;
 inline constexpr index_t kMicroNR = 8;
-
-enum class KernelVariant { kSimd, kScalar };
-
-/// Active micro-kernel implementation. Defaults to the TUCKER_SIMD build
-/// option; tests swap it at runtime to compare variants within one binary.
-/// Not meant to be flipped while kernels are in flight.
-inline KernelVariant& kernel_variant() {
-  static KernelVariant v =
-      TUCKER_SIMD ? KernelVariant::kSimd : KernelVariant::kScalar;
-  return v;
-}
 
 inline index_t round_up(index_t v, index_t unit) {
   return (v + unit - 1) / unit * unit;
@@ -245,17 +231,6 @@ inline void mk_tile_simd(index_t kn, const T* ap, const T* bp, T* c,
 
 #endif  // TUCKER_HAVE_VEC_EXT
 
-/// Dispatches one full MR x NR tile on the active variant.
-template <class T, class TA = T>
-inline void mk_tile(bool simd, index_t kn, const T* ap, const T* bp, T* c,
-                    index_t ldc) {
-  if (simd) {
-    mk_tile_simd<T, TA>(kn, ap, bp, c, ldc);
-  } else {
-    mk_tile_scalar<T, TA>(kn, ap, bp, c, ldc);
-  }
-}
-
 // ------------------------------------------------------ TTM kernels
 //
 // The ST-HOSVD truncation TTM multiplies every unfolding block by the same
@@ -269,7 +244,8 @@ inline void mk_tile(bool simd, index_t kn, const T* ap, const T* bp, T* c,
 // accumulation chain: every output element starts from zero and accumulates
 // `c += a * b` once per k step in ascending k order, exactly as the packed
 // micro-kernel does, so the engines are bitwise-interchangeable. Both come
-// in the same scalar/SIMD pair as mk_tile and dispatch on kernel_variant().
+// in the same scalar/SIMD pair as the gemm tile: the drivers run the SIMD
+// kernels and ttm_equivalence_test holds them to the scalar oracles.
 
 /// Largest factor-row count R routed to the packing-free TTM kernels; above
 /// it the output slab no longer stays cache-resident and the packed gemm
@@ -486,16 +462,14 @@ inline void ttm_rows_simd(index_t m, index_t k, const T* a, const T* b,
 
 /// Dispatches one column range of a TTM block. `stream` selects the
 /// B-walk: register tiles over a cache-resident block, or the sequential
-/// row-update walk for DRAM-resident blocks. All variants share one
-/// per-element accumulation chain, so engine, variant and walk order are
-/// bitwise-interchangeable (for either accumulator width).
+/// row-update walk for DRAM-resident blocks. Both walks share the
+/// per-element accumulation chain of ttm_cols_scalar, so engine and walk
+/// order are bitwise-interchangeable (for either accumulator width).
 template <class T, class TA>
-inline void ttm_cols(bool simd, bool stream, index_t m, index_t k, const T* a,
+inline void ttm_cols(bool stream, index_t m, index_t k, const T* a,
                      const T* b, index_t ldb, TA* c, index_t ldc, index_t j0,
                      index_t j1) {
-  if (!simd) {
-    ttm_cols_scalar(m, k, a, b, ldb, c, ldc, j0, j1);
-  } else if (stream) {
+  if (stream) {
     ttm_rows_simd(m, k, a, b, ldb, c, ldc, j0, j1);
   } else {
     ttm_cols_simd(m, k, a, b, ldb, c, ldc, j0, j1);
@@ -618,30 +592,19 @@ inline void ttm_mode0_simd(index_t k, index_t r, const T* ut, index_t ldut,
 
 #endif  // TUCKER_HAVE_VEC_EXT
 
-template <class T, class TA = T>
-inline void ttm_mode0_cols(bool simd, index_t k, index_t r, const T* ut,
-                           index_t ldut, const T* x, T* y, index_t c0,
-                           index_t c1) {
-  if (simd) {
-    ttm_mode0_simd<T, TA>(k, r, ut, ldut, x, y, c0, c1);
-  } else {
-    ttm_mode0_scalar<T, TA>(k, r, ut, ldut, x, y, c0, c1);
-  }
-}
-
 /// Edge tile (mr < MR and/or nr < NR): runs the full kernel into a local
 /// MR x NR buffer seeded from the live C entries, then stores back only the
 /// live region. Padded A rows / B columns are zero, so the live elements
 /// see exactly the same accumulation chain as in a full tile.
 template <class T, class TA = T>
-inline void mk_tile_edge(bool simd, index_t kn, const T* ap, const T* bp,
-                         T* c, index_t ldc, index_t mr, index_t nr) {
+inline void mk_tile_edge(index_t kn, const T* ap, const T* bp, T* c,
+                         index_t ldc, index_t mr, index_t nr) {
   T ctmp[kMicroMR * kMicroNR];
   for (index_t r = 0; r < kMicroMR; ++r)
     for (index_t j = 0; j < kMicroNR; ++j)
       ctmp[r * kMicroNR + j] =
           (r < mr && j < nr) ? c[r * ldc + j] : T(0);
-  mk_tile<T, TA>(simd, kn, ap, bp, ctmp, kMicroNR);
+  mk_tile_simd<T, TA>(kn, ap, bp, ctmp, kMicroNR);
   for (index_t r = 0; r < mr; ++r)
     for (index_t j = 0; j < nr; ++j) c[r * ldc + j] = ctmp[r * kMicroNR + j];
 }

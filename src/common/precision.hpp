@@ -187,12 +187,12 @@ template <class T>
 using wide_t = typename accum_for<T>::type;
 
 /// Accumulator-width knob carried by SthosvdOptions and threaded through
-/// gram/ttm/sketch/svd dispatch. kNative keeps the historical behavior
+/// gram/ttm/sketch/rand-svd dispatch. kNative keeps the historical behavior
 /// (accumulate at storage precision); kWide loads/stores storage-width
-/// words but keeps every register tile, dot partial, and Jacobi column
-/// norm in wide_t<T>. Flop credits are unchanged (same operation count);
-/// word-traffic credits stay at storage width -- that split is the whole
-/// point (satellite: flop precision != word width).
+/// words but keeps every register tile in wide_t<T>. Flop credits are
+/// unchanged (same operation count); word-traffic credits stay at storage
+/// width -- that split is the whole point (satellite: flop precision !=
+/// word width).
 enum class Accum {
   kNative,
   kWide,

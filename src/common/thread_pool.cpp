@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/flops.hpp"
+#include "common/tuning.hpp"
 
 namespace tucker::parallel {
 
@@ -25,14 +27,14 @@ thread_local int t_width_cap = 0;  // 0 = uncapped
 thread_local int t_chunk_depth = 0;
 
 int default_width() {
-  if (const char* s = std::getenv("TUCKER_NUM_THREADS")) {
-    const int v = std::atoi(s);
-    // Clamp: a width beyond any real machine is operator error, and
-    // actually spawning it aborts on thread-creation failure (EAGAIN)
-    // instead of degrading. 256 comfortably covers the widths the pool
-    // can exploit while keeping hostile/garbage values safe.
-    if (v >= 1) return std::min(v, 256);
-  }
+  // Clamp: a width beyond any real machine is operator error, and
+  // actually spawning it aborts on thread-creation failure (EAGAIN)
+  // instead of degrading. 256 comfortably covers the widths the pool can
+  // exploit while keeping hostile values safe; malformed ones fall back to
+  // the hardware width.
+  const auto v = tune::detail::env_index("TUCKER_NUM_THREADS", 0, 1,
+                                         std::numeric_limits<int>::max());
+  if (v >= 1) return static_cast<int>(std::min<tune::index_t>(v, 256));
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

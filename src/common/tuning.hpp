@@ -11,6 +11,7 @@
 // per-element accumulation order, so every setting is bitwise-identical
 // (see DESIGN.md Sec 8).
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdlib>
 
@@ -20,11 +21,18 @@ using index_t = std::ptrdiff_t;
 
 namespace detail {
 
+// Knob values must parse in full: "12abc", "1.5x" and "" are malformed, not
+// 12 / 1.5 / 0, and every malformed or out-of-range value falls back to the
+// knob's default.
+
 inline index_t env_index(const char* name, index_t fallback, index_t lo,
                          index_t hi) {
   if (const char* s = std::getenv(name)) {
-    const long v = std::atol(s);
-    if (v >= lo && v <= hi) return static_cast<index_t>(v);
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(s, &end, 10);
+    if (end != s && *end == '\0' && errno == 0 && v >= lo && v <= hi)
+      return static_cast<index_t>(v);
   }
   return fallback;
 }
@@ -32,8 +40,9 @@ inline index_t env_index(const char* name, index_t fallback, index_t lo,
 inline double env_double(const char* name, double fallback) {
   if (const char* s = std::getenv(name)) {
     char* end = nullptr;
+    errno = 0;
     const double v = std::strtod(s, &end);
-    if (end != s && v >= 0) return v;
+    if (end != s && *end == '\0' && errno == 0 && v >= 0) return v;
   }
   return fallback;
 }
@@ -103,8 +112,8 @@ inline bool accum_wide_default() {
 /// sketch draw through fp16 storage before it enters the accumulation
 /// (tensor/sketch.hpp), halving the modeled sketch-word traffic. The
 /// quantizer is a pure elementwise function of the counter-based draw, so
-/// thread/grid invariance of the sketch is preserved. Runtime-mutable via
-/// tensor::sketch_payload() for tests.
+/// thread/grid invariance of the sketch is preserved. This is only the
+/// default of core::RandSvdOptions::payload; explicit option fields win.
 inline bool sketch_half_default() {
   static const bool v = detail::env_index("TUCKER_SKETCH_HALF", 0, 0, 1) != 0;
   return v;

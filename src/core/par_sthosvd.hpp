@@ -86,17 +86,9 @@ std::vector<std::size_t> sketch_finalize_schedule(
       ready[i] = {t, i};
       continue;
     }
-    const index_t cap = std::min(m, cols);
-    const index_t os = std::max<index_t>(ropt.oversample, 0);
-    index_t w;
-    if (spec.is_fixed_rank()) {
-      w = std::min(cap, spec.ranks[n] + os);
-    } else {
-      const index_t guess =
-          ropt.rank_guess > 0 ? ropt.rank_guess : std::max<index_t>(8, m / 8);
-      w = std::min(cap, guess + os);
-    }
-    w = std::max<index_t>(w, 1);
+    const index_t w = initial_sketch_width(
+        ropt, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0}, m,
+        std::min(m, cols));
     t += static_cast<double>(flops::gaussian_sketch(m, cols, w)) /
          (np * model.flop_rate);
     const index_t pn = ysrc.grid().dim(n);
@@ -215,9 +207,8 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
         const std::size_t n = order[pos + i];
         dist::dispatch_mode_sketch(
             ysrc, n, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
-            threshold_sq, ropt.oversample, ropt.power_iters, ropt.seed,
-            ropt.rank_guess, "mode" + std::to_string(n), /*nonblocking=*/true,
-            sk[i], &src_norm_sq, accum);
+            threshold_sq, ropt, "mode" + std::to_string(n),
+            /*nonblocking=*/true, sk[i], &src_norm_sq, accum);
       }
       const std::vector<std::size_t> sched =
           detail::sketch_finalize_schedule(ysrc, order, pos, nwin, spec, ropt);
@@ -253,8 +244,7 @@ ParSthosvdResult<T> par_sthosvd(const dist::DistTensor<T>& x,
       // regions (the adaptive loop interleaves the two phases).
       svd = dist::par_rand_svd(
           y, n, spec.is_fixed_rank() ? spec.ranks[n] : index_t{0},
-          threshold_sq, ropt.oversample, ropt.power_iters, ropt.seed,
-          ropt.rank_guess, label, accum);
+          threshold_sq, ropt, label, accum);
     } else {
       // kQr and kStream both land here: the distributed butterfly TSQR of
       // par_tensor_lq *is* a hierarchical triangle merge (the same tplqt

@@ -166,10 +166,11 @@ struct SthosvdOptions {
   std::vector<index_t> rank_estimates;
   RandSvdOptions rand;
   OverlapOptions overlap;
-  /// Accumulator width for the flop-dominant kernels (Gram/sketch gemms,
-  /// truncation TTMs, pipelined-Jacobi rotations). kWide widens fp32 to
-  /// fp64 register accumulators at unchanged storage; for T = double it is
-  /// the identity. Defaults from TUCKER_ACCUM (DESIGN.md Sec 13).
+  /// Accumulator width for the flop-dominant kernels (Gram syrks, sketch
+  /// and projection gemms, truncation TTMs; the LQ and the small SVD stay
+  /// native). kWide widens fp32 to fp64 register accumulators at unchanged
+  /// storage; for T = double it is the identity. Defaults from
+  /// TUCKER_ACCUM (DESIGN.md Sec 13).
   Accum accum = tune::accum_wide_default() ? Accum::kWide : Accum::kNative;
 };
 

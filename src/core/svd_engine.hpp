@@ -69,22 +69,16 @@ inline std::string_view method_name(SvdMethod m) {
   return "?";  // unreachable; silences -Wreturn-type
 }
 
-/// Dense eigensolver used on the Gram matrix: Householder
-/// tridiagonalization + implicit QL (the syev-style pair TuckerMPI calls;
-/// default) or cyclic Jacobi. The sqrt(eps) accuracy floor comes from
-/// forming the Gram matrix, so the backends behave identically for the
-/// paper's purposes (bench/ablation_solvers demonstrates this).
-enum class EvdBackend { kJacobi, kTridiagonalQl };
-
 /// Eigendecomposition of a Gram matrix as a ModeSvd: the shared back half
 /// of gram_svd and of the distributed and out-of-core Gram paths, which
-/// reduce G across ranks or slabs first.
+/// reduce G across ranks or slabs first. The solver is Householder
+/// tridiagonalization + implicit QL (the syev-style pair TuckerMPI calls).
+/// The sqrt(eps) accuracy floor comes from forming the Gram matrix, not
+/// from the eigensolver (bench/ablation_solvers compares it against the
+/// cyclic Jacobi oracle la::jacobi_eig).
 template <class T>
-ModeSvd<T> svd_of_gram(const blas::Matrix<T>& g,
-                       EvdBackend backend = EvdBackend::kTridiagonalQl) {
-  auto eig = backend == EvdBackend::kTridiagonalQl
-                 ? la::tridiag_eig(blas::MatView<const T>(g.view()))
-                 : la::jacobi_eig(blas::MatView<const T>(g.view()));
+ModeSvd<T> svd_of_gram(const blas::Matrix<T>& g) {
+  auto eig = la::tridiag_eig(blas::MatView<const T>(g.view()));
   ModeSvd<T> out;
   out.sigma_sq.reserve(eig.lambda.size());
   for (T lam : eig.lambda) out.sigma_sq.push_back(std::abs(lam));
@@ -96,71 +90,51 @@ ModeSvd<T> svd_of_gram(const blas::Matrix<T>& g,
 /// symmetric eigensolver).
 template <class T>
 ModeSvd<T> gram_svd(const Tensor<T>& y, std::size_t n,
-                    EvdBackend backend = EvdBackend::kTridiagonalQl,
                     Accum accum = Accum::kNative) {
-  return svd_of_gram(tensor::gram_of_unfolding(y, n, accum), backend);
+  return svd_of_gram(tensor::gram_of_unfolding(y, n, accum));
 }
 
-/// Dense solver used for the small SVD of the triangular factor:
-/// Golub-Kahan bidiagonalization with shifted/zero-shift QR (the classical
-/// gesvd-style algorithm the paper calls), one-sided Jacobi with de Rijk
-/// pivoting (simplest, very accurate on this preconditioned input), or the
-/// blocked pipelined Jacobi (same mathematics as kJacobi, panel-pair
-/// schedule that runs rotations on the thread pool; the only small-SVD
-/// backend whose rotations honor Accum::kWide). kAuto (the default) is
-/// Golub-Kahan, always: the backends agree to method accuracy, not bitwise,
-/// so any runtime choice between them (thread width, a process-wide knob)
-/// would break the guarantee that results are bitwise identical for every
-/// TUCKER_NUM_THREADS. The pipelined Jacobi runs only when a caller names
-/// kJacobiPipelined.
-enum class SmallSvdBackend { kAuto, kJacobi, kJacobiPipelined, kGolubKahan };
+/// Dense solver used for the small SVD of the triangular factor. kAuto (the
+/// default) is Golub-Kahan bidiagonalization with shifted/zero-shift QR
+/// (the classical gesvd-style algorithm the paper calls); kJacobi is
+/// one-sided Jacobi with de Rijk pivoting (simplest, very accurate on this
+/// preconditioned input). The two agree to method accuracy, not bitwise,
+/// so kAuto never switches between them at runtime: results stay bitwise
+/// identical for every TUCKER_NUM_THREADS.
+enum class SmallSvdBackend { kAuto, kJacobi };
 
 /// Small SVD of an LQ triangle: the shared back half of qr_svd and the
 /// streaming engine (both must take the identical code path so a
-/// single-chunk stream is bitwise equal to the in-memory QR-SVD). `accum`
-/// reaches only the pipelined Jacobi backend: the Golub-Kahan and classic
-/// Jacobi solvers are native-precision reference paths by design.
+/// single-chunk stream is bitwise equal to the in-memory QR-SVD). Both
+/// solvers run at native precision, so `accum` changes nothing here; it is
+/// accepted so callers can pass SthosvdOptions::accum through unchanged.
 template <class T>
 ModeSvd<T> svd_of_l(blas::Matrix<T> l, SmallSvdBackend backend,
-                    Accum accum = Accum::kNative) {
+                    [[maybe_unused]] Accum accum = Accum::kNative) {
   ModeSvd<T> out;
   auto take = [&](auto svd) {
     out.sigma_sq.reserve(svd.sigma.size());
     for (T s : svd.sigma) out.sigma_sq.push_back(s * s);
     out.u = std::move(svd.u);
   };
-  switch (backend) {
-    case SmallSvdBackend::kAuto:
-    case SmallSvdBackend::kGolubKahan:
-      if (l.rows() >= l.cols() && l.cols() >= 1) {
-        take(la::bidiag_svd(blas::MatView<const T>(l.view())));
-        return out;
-      }
-      break;  // short-fat or empty: fall through to Jacobi below
-    case SmallSvdBackend::kJacobiPipelined:
-      if (accum == Accum::kWide) {
-        take(la::jacobi_svd_pipelined<T, wide_t<T>>(
-            blas::MatView<const T>(l.view())));
-      } else {
-        take(la::jacobi_svd_pipelined(blas::MatView<const T>(l.view())));
-      }
-      return out;
-    case SmallSvdBackend::kJacobi:
-      break;
+  // Short-fat or empty triangles fall through to Jacobi.
+  if (backend == SmallSvdBackend::kAuto && l.rows() >= l.cols() &&
+      l.cols() >= 1) {
+    take(la::bidiag_svd(blas::MatView<const T>(l.view())));
+  } else {
+    take(la::jacobi_svd(blas::MatView<const T>(l.view())));
   }
-  take(la::jacobi_svd(blas::MatView<const T>(l.view())));
   return out;
 }
 
 /// SVD of the mode-n unfolding via LQ preprocessing (paper Alg 2 + SVD of
-/// the triangular factor, right singular vectors never formed). The LQ
-/// itself is Householder-based and stays at native precision (DESIGN.md
-/// Sec 13); accum reaches the small SVD via svd_of_l.
+/// the triangular factor, right singular vectors never formed). The LQ and
+/// the small SVD are Householder/rotation based and stay at native
+/// precision (DESIGN.md Sec 13).
 template <class T>
 ModeSvd<T> qr_svd(const Tensor<T>& y, std::size_t n,
-                  SmallSvdBackend backend = SmallSvdBackend::kAuto,
-                  Accum accum = Accum::kNative) {
-  return svd_of_l(tensor::tensor_lq(y, n), backend, accum);
+                  SmallSvdBackend backend = SmallSvdBackend::kAuto) {
+  return svd_of_l(tensor::tensor_lq(y, n), backend);
 }
 
 /// Hierarchical streaming QR-SVD (SvdMethod::kStream): the unfolding's LQ
@@ -172,34 +146,12 @@ ModeSvd<T> qr_svd(const Tensor<T>& y, std::size_t n,
 template <class T>
 ModeSvd<T> stream_svd(const Tensor<T>& y, std::size_t n,
                       index_t chunk_slices = 0,
-                      SmallSvdBackend backend = SmallSvdBackend::kAuto,
-                      Accum accum = Accum::kNative) {
+                      SmallSvdBackend backend = SmallSvdBackend::kAuto) {
   if (chunk_slices <= 0)
     chunk_slices =
         stream::chunk_slices_for_budget<T>(y.dims(), tune::stream_chunk_bytes());
-  return svd_of_l(stream::chunked_unfolding_lq(y, n, chunk_slices), backend,
-                  accum);
+  return svd_of_l(stream::chunked_unfolding_lq(y, n, chunk_slices), backend);
 }
-
-/// Knobs of the randomized range finder. Defaults follow the HMT
-/// recommendations (small constant oversampling, one power iteration).
-struct RandSvdOptions {
-  /// Extra sketch columns beyond the (guessed or fixed) target rank. Also
-  /// the accepted slack in tolerance mode: a selected rank is only trusted
-  /// when it leaves `oversample` unused basis columns (otherwise the sketch
-  /// widens), so the kept singular vectors are always oversampled.
-  index_t oversample = 8;
-  /// Subspace (power) iterations: each one sharpens the basis by a factor
-  /// of the squared spectral decay, at 2x the sketch's gemm cost.
-  int power_iters = 1;
-  /// User seed; the engine derives a per-mode stream via rng::substream, so
-  /// one seed draws independent test matrices for every mode.
-  std::uint64_t seed = 0x5eed;
-  /// Tolerance mode's initial rank guess (0 = max(8, m/8)). The adaptive
-  /// loop doubles the sketch width from here until the energy budget is
-  /// met, reusing all previously drawn columns.
-  index_t rank_guess = 0;
-};
 
 /// Randomized range-finder SVD of the mode-n unfolding (follow-up work to
 /// the paper; HMT Alg 4.4 + projected Gram solve).
@@ -238,16 +190,7 @@ ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
   const index_t cap = std::min(m, cols);
   const index_t p = std::max<index_t>(opt.oversample, 0);
   const bool fixed = fixed_rank > 0;
-  index_t w;
-  if (fixed) {
-    w = std::min(cap, fixed_rank + p);
-  } else {
-    const index_t guess = opt.rank_guess > 0
-                              ? opt.rank_guess
-                              : std::max<index_t>(8, m / 8);
-    w = std::min(cap, guess + p);
-  }
-  w = std::max<index_t>(w, 1);
+  index_t w = initial_sketch_width(opt, fixed_rank, m, cap);
 
   const double norm_sq = y.norm_squared();
   const std::uint64_t stream = substream(opt.seed, n);
@@ -266,7 +209,8 @@ ModeSvd<T> rand_svd(const Tensor<T>& y, std::size_t n, index_t fixed_rank,
   index_t wprev = 0;
   for (;;) {
     tensor::sketch_unfolding_cols(y, n, stream, wprev, w,
-                                  sall.block(0, wprev, m, w - wprev), accum);
+                                  sall.block(0, wprev, m, w - wprev),
+                                  opt.payload, accum);
     auto wv = blas::MatView<T>::row_major(wdata, m, w);
     blas::copy(blas::MatView<const T>(sall.block(0, 0, m, w)), wv);
     auto qv = blas::MatView<T>::row_major(qdata, m, w);
@@ -337,13 +281,13 @@ ModeSvd<T> mode_svd(const Tensor<T>& y, std::size_t n, SvdMethod method,
                     Accum accum = Accum::kNative) {
   switch (method) {
     case SvdMethod::kGram:
-      return gram_svd(y, n, EvdBackend::kTridiagonalQl, accum);
+      return gram_svd(y, n, accum);
     case SvdMethod::kQr:
-      return qr_svd(y, n, SmallSvdBackend::kAuto, accum);
+      return qr_svd(y, n);
     case SvdMethod::kRand:
       return rand_svd(y, n, fixed_rank, threshold_sq, ropt, accum);
     case SvdMethod::kStream:
-      return stream_svd(y, n, 0, SmallSvdBackend::kAuto, accum);
+      return stream_svd(y, n);
   }
   TUCKER_CHECK(false, "mode_svd: unknown method");
   return {};

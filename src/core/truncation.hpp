@@ -9,7 +9,10 @@
 //  - mode_threshold_sq: the per-mode budget eps^2 ||X||^2 / N;
 //  - take_rank / take_mode: record the mode's singular values, pick its
 //    rank, copy the leading left singular vectors as the factor;
-//  - tail_relative_error: the certificate from the discarded tails.
+//  - tail_relative_error: the certificate from the discarded tails;
+//  - RandSvdOptions / initial_sketch_width: the randomized engine's knobs
+//    and first sketch width, shared by core::rand_svd and the distributed
+//    sketch (dist::par_rand_svd).
 //
 // Tolerance mode: pick the smallest R_n whose discarded tail energy
 // sum_{i>R_n} sigma_i^2 is at most eps^2 ||X||^2 / N -- the split that
@@ -23,11 +26,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "blas/blas1.hpp"
 #include "blas/matrix.hpp"
 #include "common/check.hpp"
+#include "common/tuning.hpp"
+#include "tensor/sketch.hpp"
 
 namespace tucker::core {
 
@@ -64,6 +70,45 @@ struct ModeSvd {
   /// Left singular vectors: I_n x (number of reported values).
   blas::Matrix<T> u;
 };
+
+/// Knobs of the randomized range finder. Defaults follow the HMT
+/// recommendations (small constant oversampling, one power iteration).
+struct RandSvdOptions {
+  /// Extra sketch columns beyond the (guessed or fixed) target rank. Also
+  /// the accepted slack in tolerance mode: a selected rank is only trusted
+  /// when it leaves `oversample` unused basis columns (otherwise the sketch
+  /// widens), so the kept singular vectors are always oversampled.
+  index_t oversample = 8;
+  /// Subspace (power) iterations: each one sharpens the basis by a factor
+  /// of the squared spectral decay, at 2x the sketch's gemm cost.
+  int power_iters = 1;
+  /// User seed; the engine derives a per-mode stream via rng::substream, so
+  /// one seed draws independent test matrices for every mode.
+  std::uint64_t seed = 0x5eed;
+  /// Tolerance mode's initial rank guess (0 = max(8, m/8)). The adaptive
+  /// loop doubles the sketch width from here until the energy budget is
+  /// met, reusing all previously drawn columns.
+  index_t rank_guess = 0;
+  /// Storage width of the Gaussian test matrix (tensor::SketchPayload).
+  /// Defaults from TUCKER_SKETCH_HALF.
+  tensor::SketchPayload payload = tune::sketch_half_default()
+                                      ? tensor::SketchPayload::kHalf
+                                      : tensor::SketchPayload::kNative;
+};
+
+/// First-round sketch width of the randomized engine on an m-row unfolding
+/// whose rank cannot exceed `cap`: the fixed rank (fixed_rank > 0) or the
+/// tolerance-mode guess, plus the oversampling, clamped to [1, cap].
+inline index_t initial_sketch_width(const RandSvdOptions& opt,
+                                    index_t fixed_rank, index_t m,
+                                    index_t cap) {
+  const index_t p = std::max<index_t>(opt.oversample, 0);
+  const index_t target =
+      fixed_rank > 0 ? fixed_rank
+      : opt.rank_guess > 0 ? opt.rank_guess
+                           : std::max<index_t>(8, m / 8);
+  return std::max<index_t>(std::min(cap, target + p), 1);
+}
 
 /// Why a driver would refuse (spec, order) on an order-`nmodes` tensor, or
 /// nullptr when it is valid: fixed ranks name one rank >= 1 per mode, a

@@ -520,8 +520,7 @@ struct ModeSketchState {
   // Engine/truncation parameters captured at dispatch.
   index_t fixed_rank = 0;
   double threshold_sq = 0;
-  index_t oversample = 0;
-  int power_iters = 0;
+  core::RandSvdOptions opt;
   // Geometry of the dispatch-time source tensor.
   index_t m = 0, mloc = 0, cols_glob = 0, cols_loc = 0, cap = 0, rows_lo = 0;
   bool empty = false;
@@ -553,8 +552,7 @@ struct ModeSketchState {
 template <class T>
 void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
                           index_t fixed_rank, double threshold_sq,
-                          index_t oversample, int power_iters,
-                          std::uint64_t seed, index_t rank_guess,
+                          const core::RandSvdOptions& opt,
                           const std::string& label, bool nonblocking,
                           ModeSketchState<T>& st,
                           const double* known_norm_sq = nullptr,
@@ -564,8 +562,7 @@ void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
   st.label = label;
   st.fixed_rank = fixed_rank;
   st.threshold_sq = threshold_sq;
-  st.oversample = oversample;
-  st.power_iters = power_iters;
+  st.opt = opt;
   st.accum = accum;
   // Ranks sharing my mode-n coordinate hold the same rows of the unfolding
   // but different column sets: their partials sum over this communicator.
@@ -586,19 +583,10 @@ void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
   st.cols_loc = tensor::prod_before(y.local().dims(), n) *
                 tensor::prod_after(y.local().dims(), n);
   st.cap = std::min(st.m, st.cols_glob);
-  const index_t p = std::max<index_t>(oversample, 0);
-  index_t w;
-  if (fixed_rank > 0) {
-    w = std::min(st.cap, fixed_rank + p);
-  } else {
-    const index_t guess =
-        rank_guess > 0 ? rank_guess : std::max<index_t>(8, st.m / 8);
-    w = std::min(st.cap, guess + p);
-  }
-  st.w = std::max<index_t>(w, 1);
+  st.w = core::initial_sketch_width(opt, fixed_rank, st.m, st.cap);
 
   st.norm_sq = known_norm_sq ? *known_norm_sq : y.norm_squared();
-  st.stream = substream(seed, n);
+  st.stream = substream(opt.seed, n);
   st.colmap.emplace(y, n);
 
   auto rg = world.region(label + "/Sketch");
@@ -606,7 +594,7 @@ void dispatch_mode_sketch(const DistTensor<T>& y, std::size_t n,
       static_cast<std::size_t>(std::max<index_t>(st.mloc, 1) * st.w), T(0));
   auto snew = blas::MatView<T>::row_major(st.snew.data(), st.mloc, st.w);
   tensor::sketch_unfolding_cols(y.local(), n, st.stream, 0, st.w, *st.colmap,
-                                snew, accum);
+                                snew, opt.payload, accum);
   if (nonblocking)
     st.req =
         st.slice->iallreduce(st.snew.data(), st.mloc * st.w, mpi::Op::kSum);
@@ -641,7 +629,7 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
   const index_t mloc = st.mloc;
   const index_t cols_loc = st.cols_loc;
   const index_t cap = st.cap;
-  const index_t p = std::max<index_t>(st.oversample, 0);
+  const index_t p = std::max<index_t>(st.opt.oversample, 0);
   const bool fixed = st.fixed_rank > 0;
   const double norm_sq = st.norm_sq;
   const double threshold_sq = st.threshold_sq;
@@ -705,7 +693,7 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
                                                wnew)),
             mloc, wnew);
         tensor::sketch_unfolding_cols(y.local(), n, st.stream, wprev, w,
-                                      *st.colmap, snew, accum);
+                                      *st.colmap, snew, st.opt.payload, accum);
         slice.allreduce(snew.data(), mloc * wnew, mpi::Op::kSum);
         if (mloc > 0)
           blas::copy(blas::MatView<const T>(snew),
@@ -714,7 +702,7 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
       auto wv = blas::MatView<T>::row_major(wdata, mloc, w);
       if (mloc > 0)
         blas::copy(blas::MatView<const T>(sall.block(0, 0, mloc, w)), wv);
-      for (int it = 0; it < st.power_iters; ++it) {
+      for (int it = 0; it < st.opt.power_iters; ++it) {
         detail::tsqr_orthonormalize(wv, fiber, qv);
         auto scratch = ws.frame();
         auto z = blas::MatView<T>::row_major(
@@ -817,13 +805,11 @@ core::ModeSvd<T> finalize_mode_sketch(const DistTensor<T>& y,
 template <class T>
 core::ModeSvd<T> par_rand_svd(const DistTensor<T>& y, std::size_t n,
                               index_t fixed_rank, double threshold_sq,
-                              index_t oversample, int power_iters,
-                              std::uint64_t seed, index_t rank_guess,
+                              const core::RandSvdOptions& opt,
                               const std::string& label,
                               Accum accum = Accum::kNative) {
   ModeSketchState<T> st;
-  dispatch_mode_sketch(y, n, fixed_rank, threshold_sq, oversample,
-                       power_iters, seed, rank_guess, label,
+  dispatch_mode_sketch(y, n, fixed_rank, threshold_sq, opt, label,
                        /*nonblocking=*/false, st, nullptr, accum);
   return finalize_mode_sketch(y, st);
 }

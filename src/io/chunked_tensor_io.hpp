@@ -214,15 +214,9 @@ class ChunkedTensorReader {
                    std::to_string(expect_slabs) + ")";
       return out;
     }
-    const auto want = count * static_cast<std::int64_t>(sizeof(T));
-    const std::int64_t have = detail::bytes_remaining(f.get());
-    if (have >= 0 && have < want) {
-      out.status = IoStatus::kShortFile;
-      out.detail = "header promises " + std::to_string(want) +
-                   " payload bytes but the file holds only " +
-                   std::to_string(have);
+    if (!detail::payload_size_ok(
+            f.get(), count * static_cast<std::int64_t>(sizeof(T)), out))
       return out;
-    }
     r.payload_off_ = static_cast<std::size_t>(std::ftell(f.get()));
     r.f_ = std::move(f);
     out.value = std::move(r);

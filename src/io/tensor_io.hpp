@@ -129,6 +129,25 @@ struct IoResult {
   bool ok() const { return status == IoStatus::kOk; }
 };
 
+namespace detail {
+
+/// Compares the bytes after the header with the `want` payload bytes the
+/// header promises, before any payload is read. A short file is kShortFile;
+/// bytes beyond the promise mean the header understates the file (a
+/// corrupted dim, order or slab count) and are kBadHeader. Non-seekable
+/// streams skip the check and rely on the short-read checks.
+template <class V>
+bool payload_size_ok(std::FILE* f, std::int64_t want, IoResult<V>& out) {
+  const std::int64_t have = bytes_remaining(f);
+  if (have < 0 || have == want) return true;
+  out.status = have < want ? IoStatus::kShortFile : IoStatus::kBadHeader;
+  out.detail = "header promises " + std::to_string(want) +
+               " payload bytes but the file holds " + std::to_string(have);
+  return false;
+}
+
+}  // namespace detail
+
 /// Checked reader for the self-describing tensor format: validates magic,
 /// dtype and header sanity, then compares the file's actual payload size
 /// against what the header dims promise *before* reading any data.
@@ -177,15 +196,9 @@ IoResult<Tensor<T>> try_read_tensor(const std::string& path) {
     out.detail = "header dims are negative or their byte size overflows";
     return out;
   }
-  const auto want = count * static_cast<std::int64_t>(sizeof(T));
-  const std::int64_t have = detail::bytes_remaining(f.get());
-  if (have >= 0 && have < want) {
-    out.status = IoStatus::kShortFile;
-    out.detail = "header dims promise " + std::to_string(want) +
-                 " payload bytes but the file holds only " +
-                 std::to_string(have);
+  if (!detail::payload_size_ok(
+          f.get(), count * static_cast<std::int64_t>(sizeof(T)), out))
     return out;
-  }
   Tensor<T> t(dims);
   if (!detail::try_read(f.get(), t.data(),
                         static_cast<std::size_t>(t.size()))) {
@@ -280,62 +293,102 @@ void write_tucker(const std::string& path,
   std::fclose(f);
 }
 
-/// Loads a decomposition saved by write_tucker.
+/// Checked reader for the Tucker container: validates magic, dtype and
+/// header sanity, then compares the payload size against what the factor
+/// shapes promise before reading any data (the twin of try_read_tensor).
 template <class T>
-core::TuckerTensor<T> read_tucker(const std::string& path) {
-  std::FILE* f = detail::open_or_die(path, "rb");
+IoResult<core::TuckerTensor<T>> try_read_tucker(const std::string& path) {
+  IoResult<core::TuckerTensor<T>> out;
+  detail::FileHandle f(std::fopen(path.c_str(), "rb"));
+  if (!f) {
+    out.status = IoStatus::kOpenFailed;
+    out.detail = "cannot open " + path;
+    return out;
+  }
   std::uint64_t magic = 0;
   std::uint32_t dtype = 0, order = 0;
-  detail::read_raw(f, &magic, 1);
-  TUCKER_CHECK(magic == detail::kMagic + 1, "io: not a tucker container");
-  detail::read_raw(f, &dtype, 1);
-  TUCKER_CHECK(dtype == detail::dtype_code<T>(),
-               "io: stored precision does not match the requested type");
-  detail::read_raw(f, &order, 1);
-  TUCKER_CHECK(order > 0 && order <= detail::kMaxOrder,
-               "io: implausible tucker container order");
-  std::vector<std::pair<index_t, index_t>> shapes(order);
+  if (!detail::try_read(f.get(), &magic, 1) || magic != detail::kMagic + 1) {
+    out.status = IoStatus::kBadMagic;
+    out.detail = "not a tucker container: bad or missing magic";
+    return out;
+  }
+  if (!detail::try_read(f.get(), &dtype, 1) ||
+      dtype != detail::dtype_code<T>()) {
+    out.status = IoStatus::kBadPrecision;
+    out.detail = "stored precision code " + std::to_string(dtype) +
+                 " does not match the requested element type";
+    return out;
+  }
+  if (!detail::try_read(f.get(), &order, 1) || order == 0 ||
+      order > detail::kMaxOrder) {
+    out.status = IoStatus::kBadHeader;
+    out.detail = "implausible tucker container order " + std::to_string(order);
+    return out;
+  }
+  std::vector<Dims> shapes(order);
   Dims core_dims(order);
   for (std::uint32_t n = 0; n < order; ++n) {
-    std::uint64_t rows = 0, cols = 0;
-    detail::read_raw(f, &rows, 1);
-    detail::read_raw(f, &cols, 1);
-    shapes[n] = {static_cast<index_t>(rows), static_cast<index_t>(cols)};
-    core_dims[n] = static_cast<index_t>(cols);
+    std::uint64_t rc[2] = {0, 0};
+    if (!detail::try_read(f.get(), rc, 2)) {
+      out.status = IoStatus::kShortFile;
+      out.detail = "file ends inside the factor shapes header";
+      return out;
+    }
+    shapes[n] = {static_cast<index_t>(rc[0]), static_cast<index_t>(rc[1])};
+    core_dims[n] = shapes[n][1];
   }
-  // Size check before any payload read: a truncated container dies with a
-  // diagnosis instead of a garbage factor matrix, and header dims that are
-  // negative or overflow the byte count die before anything is sized.
-  std::int64_t want = 0;  // payload bytes; -1 once the header overflows
-  auto add_payload = [&](const Dims& d) {
-    const index_t count = tensor::checked_num_elements(d, sizeof(T));
+  // Payload bytes: the core plus every factor, each checked for negative
+  // or overflowing dims, and the running sum checked too.
+  std::int64_t want = 0;
+  for (std::uint32_t n = 0; n <= order; ++n) {
+    const index_t count = tensor::checked_num_elements(
+        n < order ? shapes[n] : core_dims, sizeof(T));
     const index_t bytes = count * static_cast<index_t>(sizeof(T));
-    if (want < 0 || count < 0 ||
-        bytes > std::numeric_limits<std::int64_t>::max() - want)
-      want = -1;
-    else
-      want += bytes;
-  };
-  add_payload(core_dims);
-  for (std::uint32_t n = 0; n < order; ++n)
-    add_payload({shapes[n].first, shapes[n].second});
-  TUCKER_CHECK(want >= 0, "io: tucker container header dims overflow");
-  const std::int64_t have = detail::bytes_remaining(f);
-  TUCKER_CHECK(have < 0 || have >= want,
-               "io: truncated tucker container (payload smaller than the "
-               "header promises)");
+    if (count < 0 || bytes > std::numeric_limits<std::int64_t>::max() - want) {
+      out.status = IoStatus::kBadHeader;
+      out.detail = "tucker container header dims overflow";
+      return out;
+    }
+    want += bytes;
+  }
+  if (!detail::payload_size_ok(f.get(), want, out)) return out;
   core::TuckerTensor<T> tk;
   tk.factors.reserve(order);
   for (std::uint32_t n = 0; n < order; ++n) {
-    blas::Matrix<T> u(shapes[n].first, shapes[n].second);
-    detail::read_raw(f, u.data(),
-                     static_cast<std::size_t>(u.rows() * u.cols()));
+    blas::Matrix<T> u(shapes[n][0], shapes[n][1]);
+    if (!detail::try_read(f.get(), u.data(),
+                          static_cast<std::size_t>(u.rows() * u.cols()))) {
+      out.status = IoStatus::kShortFile;
+      out.detail = "short read inside factor " + std::to_string(n);
+      return out;
+    }
     tk.factors.push_back(std::move(u));
   }
   tk.core = Tensor<T>(core_dims);
-  detail::read_raw(f, tk.core.data(), static_cast<std::size_t>(tk.core.size()));
-  std::fclose(f);
-  return tk;
+  if (!detail::try_read(f.get(), tk.core.data(),
+                        static_cast<std::size_t>(tk.core.size()))) {
+    out.status = IoStatus::kShortFile;
+    out.detail = "short read inside the core";
+    return out;
+  }
+  out.value = std::move(tk);
+  return out;
+}
+
+/// Loads a decomposition saved by write_tucker. Abort-on-error wrapper over
+/// try_read_tucker; callers that must survive bad input use the checked
+/// reader directly.
+template <class T>
+core::TuckerTensor<T> read_tucker(const std::string& path) {
+  auto r = try_read_tucker<T>(path);
+  TUCKER_CHECK(r.status != IoStatus::kOpenFailed, "io: cannot open file");
+  TUCKER_CHECK(r.status != IoStatus::kBadMagic, "io: not a tucker container");
+  TUCKER_CHECK(r.status != IoStatus::kBadPrecision,
+               "io: stored precision does not match the requested type");
+  TUCKER_CHECK(r.ok(),
+               "io: corrupt tucker container (truncated, or header dims "
+               "overflow)");
+  return std::move(r.value);
 }
 
 }  // namespace tucker::io

@@ -27,7 +27,6 @@
 #include "blas/matview.hpp"
 #include "common/precision.hpp"
 #include "common/rng.hpp"
-#include "common/tuning.hpp"
 #include "common/workspace.hpp"
 #include "tensor/tensor.hpp"
 
@@ -51,17 +50,9 @@ constexpr index_t kSketchPanel = 128;
 /// quantizer is a pure elementwise function of the counter-based draw, so
 /// every thread count and every simmpi grid sees identical sketch bits,
 /// and the modeled Omega word traffic drops to 2 bytes
-/// (flops::sketch_bytes, simmpi cost model).
+/// (flops::sketch_bytes, simmpi cost model). The randomized engines take it
+/// from core::RandSvdOptions::payload.
 enum class SketchPayload { kNative, kHalf };
-
-/// Active sketch payload. Defaults once from TUCKER_SKETCH_HALF; mutable at
-/// runtime (same idiom as kernel_variant) so tests and benches
-/// can flip payloads within one binary. Not meant to change mid-sketch.
-inline SketchPayload& sketch_payload() {
-  static SketchPayload p = tune::sketch_half_default() ? SketchPayload::kHalf
-                                                       : SketchPayload::kNative;
-  return p;
-}
 
 /// Bytes per stored Omega word under payload `p`, given the tensor's own
 /// word size (the native payload stores Omega at working precision).
@@ -106,11 +97,13 @@ void for_each_unfolding_panel(const Tensor<T>& t, std::size_t n, F&& f) {
 /// for local column c is drawn at global column global_col(c): pass the
 /// identity for a sequential tensor, or the owner's local-to-global column
 /// map for a distributed slab (dist::par_rand_svd). s must be
-/// I_n x (jhi - jlo) and is overwritten.
+/// I_n x (jhi - jlo) and is overwritten. `payload` is the storage width of
+/// the Omega draws.
 template <class T, class ColMap>
 void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
                            std::uint64_t stream, index_t jlo, index_t jhi,
                            ColMap&& global_col, blas::MatView<T> s,
+                           SketchPayload payload = SketchPayload::kNative,
                            Accum accum = Accum::kNative) {
   const index_t m = t.dim(n);
   const index_t wnew = jhi - jlo;
@@ -119,7 +112,7 @@ void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
   blas::fill(s, T(0));
   if (m == 0 || wnew == 0 || t.size() == 0) return;
 
-  const bool half_payload = sketch_payload() == SketchPayload::kHalf;
+  const bool half_payload = payload == SketchPayload::kHalf;
   Workspace& ws = Workspace::local();
   auto arena = ws.frame();
   auto omega = blas::MatView<T>::row_major(
@@ -153,9 +146,11 @@ void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
 template <class T>
 void sketch_unfolding_cols(const Tensor<T>& t, std::size_t n,
                            std::uint64_t stream, index_t jlo, index_t jhi,
-                           blas::MatView<T> s, Accum accum = Accum::kNative) {
+                           blas::MatView<T> s,
+                           SketchPayload payload = SketchPayload::kNative,
+                           Accum accum = Accum::kNative) {
   sketch_unfolding_cols(t, n, stream, jlo, jhi,
-                        [](index_t c) { return c; }, s, accum);
+                        [](index_t c) { return c; }, s, payload, accum);
 }
 
 /// One power-iteration multiply of the range finder: out = X_(n) X_(n)^T W,

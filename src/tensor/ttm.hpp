@@ -284,8 +284,6 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
   const index_t r = u.rows();  // output mode size
   const index_t k = u.cols();  // contracted mode size
   const index_t width = parallel::this_thread_width();
-  const bool simd =
-      blas::detail::kernel_variant() == blas::detail::KernelVariant::kSimd;
   Workspace& ws = Workspace::local();
   auto scratch = ws.frame();
 
@@ -321,8 +319,8 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
     tucker::add_traffic(flops::gemm_bytes(r, cols, k, sizeof(T)));
     const double work = 2.0 * r * k * static_cast<double>(cols);
     auto run_cols = [&](index_t c0, index_t c1) {
-      blas::detail::ttm_mode0_cols<T, TA>(simd, k, r, ut, ldut, x.data(),
-                                          y.data(), c0, c1);
+      blas::detail::ttm_mode0_simd<T, TA>(k, r, ut, ldut, x.data(), y.data(),
+                                          c0, c1);
     };
     if (width > 1 && work >= tune::par_flop_threshold()) {
       parallel::parallel_for(0, cols, 64, run_cols);
@@ -367,8 +365,8 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
       T* yb = y.data() + blk * r * before;
       if constexpr (std::is_same_v<T, TA>) {
         for (index_t c0 = j0; c0 < j1; c0 += chunk)
-          blas::detail::ttm_cols(simd, stream, r, k, upack, xb, before, yb,
-                                 before, c0, std::min(c0 + chunk, j1));
+          blas::detail::ttm_cols(stream, r, k, upack, xb, before, yb, before,
+                                 c0, std::min(c0 + chunk, j1));
       } else {
         // Wide accumulation: the kernels' C argument is the accumulator, so
         // aim them at a chunk-sized TA slab (from the *calling* thread's
@@ -381,8 +379,8 @@ void ttm_packed_into(const Tensor<T>& x, std::size_t n, MatView<const T> u,
         TA* slab = wws.get<TA>(static_cast<std::size_t>(r * chunk));
         for (index_t c0 = j0; c0 < j1; c0 += chunk) {
           const index_t len = std::min(c0 + chunk, j1) - c0;
-          blas::detail::ttm_cols(simd, stream, r, k, upack, xb + c0, before,
-                                 slab, len, index_t{0}, len);
+          blas::detail::ttm_cols(stream, r, k, upack, xb + c0, before, slab,
+                                 len, index_t{0}, len);
           for (index_t rr = 0; rr < r; ++rr) {
             const TA* srow = slab + rr * len;
             T* yrow = yb + rr * before + c0;

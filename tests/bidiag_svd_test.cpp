@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "blas/blas1.hpp"
 #include "blas/gemm.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/svd_engine.hpp"
 #include "data/synthetic_matrix.hpp"
 #include "data/synthetic_tensor.hpp"
@@ -151,7 +153,7 @@ TEST(BidiagSvdBackendTest, QrSvdBackendsAgree) {
     auto ja = tucker::core::qr_svd(x, n,
                                    tucker::core::SmallSvdBackend::kJacobi);
     auto gk = tucker::core::qr_svd(x, n,
-                                   tucker::core::SmallSvdBackend::kGolubKahan);
+                                   tucker::core::SmallSvdBackend::kAuto);
     ASSERT_EQ(ja.sigma_sq.size(), gk.sigma_sq.size());
     for (std::size_t i = 0; i < ja.sigma_sq.size(); ++i)
       EXPECT_NEAR(ja.sigma_sq[i], gk.sigma_sq[i], 1e-10 * ja.sigma_sq[0])
@@ -163,6 +165,33 @@ TEST(BidiagSvdTest, ZeroMatrixIsHandled) {
   Matrix<double> a(5, 3);
   auto r = la::bidiag_svd(MatView<const double>(a.view()));
   for (double s : r.sigma) EXPECT_EQ(s, 0.0);
+}
+
+// svd_of_l's default backend is kAuto: Golub-Kahan everywhere, never a
+// function of the thread width (which would break the bitwise guarantee
+// across TUCKER_NUM_THREADS). Pinned bitwise against the solver itself.
+TEST(SmallSvdDispatchTest, UnpinnedAutoIsClassicAtEveryWidth) {
+  Matrix<double> l(24, 24);
+  Rng rng(111);
+  for (index_t i = 0; i < l.rows(); ++i)
+    for (index_t j = 0; j < l.cols(); ++j) l(i, j) = rng.normal<double>();
+  const auto ref = la::bidiag_svd(MatView<const double>(l.view()));
+  for (int threads : {1, 2, 7}) {
+    parallel::set_max_threads(threads);
+    const auto got = core::svd_of_l(l, core::SmallSvdBackend::kAuto);
+    ASSERT_EQ(got.sigma_sq.size(), ref.sigma.size());
+    for (std::size_t i = 0; i < ref.sigma.size(); ++i)
+      EXPECT_EQ(got.sigma_sq[i], ref.sigma[i] * ref.sigma[i]) << i;
+    ASSERT_EQ(got.u.rows(), ref.u.rows());
+    ASSERT_EQ(got.u.cols(), ref.u.cols());
+    EXPECT_EQ(std::memcmp(got.u.data(), ref.u.data(),
+                          sizeof(double) *
+                              static_cast<std::size_t>(ref.u.rows() *
+                                                       ref.u.cols())),
+              0)
+        << "threads=" << threads;
+  }
+  parallel::set_max_threads(1);
 }
 
 }  // namespace

@@ -1,18 +1,16 @@
 // Bitwise contracts of the register-tiled level-3 micro-kernels and the
 // Workspace arena:
-//  - the SIMD and scalar kernel variants produce bitwise-identical gemm and
-//    syrk results over a shape / stride / transpose sweep, including NaN and
-//    Inf propagation (so the TUCKER_SIMD build option can never change
-//    results);
-//  - both match a naive per-element serial-k reference, pinning the
-//    accumulation chain the determinism guarantee is stated over;
+//  - the SIMD gemm tile matches its scalar oracle, called directly, over
+//    every k depth including NaN and Inf propagation (kernel_oracle.hpp);
+//  - gemm and syrk match a naive per-element serial-k reference over a
+//    shape / stride / transpose sweep, pinning the accumulation chain the
+//    determinism guarantee is stated over;
 //  - Workspace frames rewind and hand back the same memory, gets within one
 //    frame never alias, and stash slots persist;
 //  - a repeated ttm_into loop performs zero heap allocations after warm-up
 //    (counting global operator new), and repeated sthosvd calls reuse their
 //    stashed ping-pong scratch;
-//  - sthosvd output is bitwise identical across kernel variants and thread
-//    counts.
+//  - sthosvd output is bitwise identical across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +28,7 @@
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
 #include "core/sthosvd.hpp"
+#include "kernel_oracle.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/ttm.hpp"
 
@@ -57,6 +56,20 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, their blocks would come back through the free()
+// below from a different allocator.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_live_allocs;
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return ::operator new(n, std::nothrow);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -76,14 +89,6 @@ using tucker::Workspace;
 using tucker::blas::index_t;
 using tucker::blas::Matrix;
 using tucker::blas::MatView;
-using tucker::blas::detail::KernelVariant;
-using tucker::blas::detail::kernel_variant;
-
-// Restores the build-default kernel variant on scope exit.
-struct VariantGuard {
-  KernelVariant saved = kernel_variant();
-  ~VariantGuard() { kernel_variant() = saved; }
-};
 
 template <class T>
 Matrix<T> rand_mat(index_t m, index_t n, std::uint64_t seed) {
@@ -258,37 +263,35 @@ Matrix<T> ref_gemm_layout(Layout lay, T alpha, T beta, index_t m, index_t n,
 }
 
 template <class T>
-void gemm_variant_sweep() {
-  VariantGuard guard;
+void gemm_reference_sweep() {
   const T alpha = T(1.25), beta = T(0.5);
   for (Layout lay : kLayouts)
     for (index_t m : kSizes)
       for (index_t n : kSizes)
         for (index_t k : kSizes) {
           const Matrix<T> c0 = rand_mat<T>(m, n, 7);
-          Matrix<T> c_simd = c0;
-          kernel_variant() = KernelVariant::kSimd;
-          run_gemm_layout(lay, alpha, beta, m, n, k, c_simd);
-          Matrix<T> c_scalar = c0;
-          kernel_variant() = KernelVariant::kScalar;
-          run_gemm_layout(lay, alpha, beta, m, n, k, c_scalar);
-          ASSERT_TRUE(bitwise_equal(c_simd, c_scalar))
-              << "layout " << static_cast<int>(lay) << " m=" << m
-              << " n=" << n << " k=" << k;
+          Matrix<T> c = c0;
+          run_gemm_layout(lay, alpha, beta, m, n, k, c);
           const Matrix<T> c_ref =
               ref_gemm_layout<T>(lay, alpha, beta, m, n, k, c0);
-          ASSERT_TRUE(bitwise_equal(c_simd, c_ref))
+          ASSERT_TRUE(bitwise_equal(c, c_ref))
               << "vs reference chain: layout " << static_cast<int>(lay)
               << " m=" << m << " n=" << n << " k=" << k;
         }
 }
 
-TEST(KernelEquivalence, GemmFloat) { gemm_variant_sweep<float>(); }
-TEST(KernelEquivalence, GemmDouble) { gemm_variant_sweep<double>(); }
+TEST(KernelEquivalence, GemmFloat) { gemm_reference_sweep<float>(); }
+TEST(KernelEquivalence, GemmDouble) { gemm_reference_sweep<double>(); }
+
+TEST(KernelEquivalence, SimdTileMatchesScalarOracleFloat) {
+  tucker::oracle::expect_gemm_tile_matches_oracle<float>();
+}
+TEST(KernelEquivalence, SimdTileMatchesScalarOracleDouble) {
+  tucker::oracle::expect_gemm_tile_matches_oracle<double>();
+}
 
 template <class T>
-void syrk_variant_sweep() {
-  VariantGuard guard;
+void syrk_reference_sweep() {
   const T alpha = T(0.75), beta = T(1);
   for (index_t m : kSizes)
     for (index_t n : kSizes) {
@@ -299,28 +302,20 @@ void syrk_variant_sweep() {
           for (index_t j = 0; j <= i; ++j) c(i, j) = c(j, i) = T(i + j) / 8;
         return c;
       }();
-      Matrix<T> c_simd = c0;
-      kernel_variant() = KernelVariant::kSimd;
-      tucker::blas::syrk(alpha, MatView<const T>(a.view()), beta,
-                         c_simd.view());
-      Matrix<T> c_scalar = c0;
-      kernel_variant() = KernelVariant::kScalar;
-      tucker::blas::syrk(alpha, MatView<const T>(a.view()), beta,
-                         c_scalar.view());
-      ASSERT_TRUE(bitwise_equal(c_simd, c_scalar)) << "m=" << m << " n=" << n;
+      Matrix<T> c = c0;
+      tucker::blas::syrk(alpha, MatView<const T>(a.view()), beta, c.view());
       Matrix<T> c_ref = c0;
       ref_syrk(alpha, MatView<const T>(a.view()), beta, c_ref.view());
-      ASSERT_TRUE(bitwise_equal(c_simd, c_ref))
+      ASSERT_TRUE(bitwise_equal(c, c_ref))
           << "vs reference chain: m=" << m << " n=" << n;
     }
 }
 
-TEST(KernelEquivalence, SyrkFloat) { syrk_variant_sweep<float>(); }
-TEST(KernelEquivalence, SyrkDouble) { syrk_variant_sweep<double>(); }
+TEST(KernelEquivalence, SyrkFloat) { syrk_reference_sweep<float>(); }
+TEST(KernelEquivalence, SyrkDouble) { syrk_reference_sweep<double>(); }
 
 template <class T>
 void special_value_propagation() {
-  VariantGuard guard;
   const T nan = std::numeric_limits<T>::quiet_NaN();
   const T inf = std::numeric_limits<T>::infinity();
   const index_t m = 13, n = 21, k = 9;
@@ -329,20 +324,18 @@ void special_value_propagation() {
   a(0, 4) = nan;   // poisons row 0 of C
   a(5, 0) = inf;   // row 5: +/- inf (or NaN where cancelled)
   b(2, 7) = nan;   // poisons column 7 of C
-  Matrix<T> out[2];
-  for (int v = 0; v < 2; ++v) {
-    kernel_variant() = v == 0 ? KernelVariant::kSimd : KernelVariant::kScalar;
-    out[v] = Matrix<T>(m, n);
-    tucker::blas::gemm(T(1), MatView<const T>(a.view()),
-                       MatView<const T>(b.view()), T(0), out[v].view());
-  }
-  ASSERT_TRUE(bitwise_equal(out[0], out[1]));
+  Matrix<T> out(m, n);
+  tucker::blas::gemm(T(1), MatView<const T>(a.view()),
+                     MatView<const T>(b.view()), T(0), out.view());
   for (index_t j = 0; j < n; ++j)
-    EXPECT_TRUE(std::isnan(out[0](0, j))) << "j=" << j;
+    EXPECT_TRUE(std::isnan(out(0, j))) << "j=" << j;
   for (index_t i = 0; i < m; ++i)
-    EXPECT_TRUE(std::isnan(out[0](i, 7))) << "i=" << i;
-  for (index_t j = 0; j < n; ++j)
-    if (j != 7) EXPECT_FALSE(std::isfinite(out[0](5, j))) << "j=" << j;
+    EXPECT_TRUE(std::isnan(out(i, 7))) << "i=" << i;
+  for (index_t j = 0; j < n; ++j) {
+    if (j != 7) {
+      EXPECT_FALSE(std::isfinite(out(5, j))) << "j=" << j;
+    }
+  }
 }
 
 TEST(KernelEquivalence, NanInfPropagationFloat) {
@@ -460,13 +453,12 @@ TEST(ZeroAllocTest, SthosvdReusesStashedScratch) {
             0);
 }
 
-// --------------------------------------- sthosvd bitwise across variants
+// ----------------------------------------- sthosvd bitwise across threads
 
-TEST(KernelEquivalence, SthosvdBitwiseAcrossVariantsAndThreads) {
+TEST(KernelEquivalence, SthosvdBitwiseAcrossThreads) {
   using tucker::tensor::Tensor;
-  VariantGuard guard;
   // Runs on the default kAuto small-SVD dispatch: unpinned kAuto resolves
-  // width-independently (jacobi_pipeline_test pins the resolution), so the
+  // width-independently (bidiag_svd_test pins the resolution), so the
   // sweep covers the default path end users hit.
   Tensor<double> x({16, 14, 12});
   tucker::Rng rng(41);
@@ -476,33 +468,31 @@ TEST(KernelEquivalence, SthosvdBitwiseAcrossVariantsAndThreads) {
 
   std::vector<Tensor<double>> cores;
   std::vector<Matrix<double>> factor0s;
-  for (KernelVariant v : {KernelVariant::kSimd, KernelVariant::kScalar})
-    for (int threads : {1, 2, 4})
-      for (auto method :
-           {tucker::core::SvdMethod::kGram, tucker::core::SvdMethod::kQr}) {
-        kernel_variant() = v;
-        tucker::parallel::set_max_threads(threads);
-        auto r = tucker::core::sthosvd(x, spec, method);
-        // Compare per method: entry index = method slot.
-        const std::size_t slot =
-            method == tucker::core::SvdMethod::kGram ? 0 : 1;
-        if (cores.size() <= slot) {
-          cores.push_back(std::move(r.tucker.core));
-          factor0s.push_back(std::move(r.tucker.factors[0]));
-          continue;
-        }
-        ASSERT_EQ(r.tucker.core.size(), cores[slot].size());
-        EXPECT_EQ(
-            std::memcmp(r.tucker.core.data(), cores[slot].data(),
-                        sizeof(double) *
-                            static_cast<std::size_t>(cores[slot].size())),
-            0)
-            << "core mismatch: variant=" << static_cast<int>(v)
-            << " threads=" << threads << " method=" << static_cast<int>(slot);
-        EXPECT_TRUE(bitwise_equal(r.tucker.factors[0], factor0s[slot]))
-            << "factor mismatch: variant=" << static_cast<int>(v)
-            << " threads=" << threads << " method=" << static_cast<int>(slot);
+  for (int threads : {1, 2, 4})
+    for (auto method :
+         {tucker::core::SvdMethod::kGram, tucker::core::SvdMethod::kQr}) {
+      tucker::parallel::set_max_threads(threads);
+      auto r = tucker::core::sthosvd(x, spec, method);
+      // Compare per method: entry index = method slot.
+      const std::size_t slot =
+          method == tucker::core::SvdMethod::kGram ? 0 : 1;
+      if (cores.size() <= slot) {
+        cores.push_back(std::move(r.tucker.core));
+        factor0s.push_back(std::move(r.tucker.factors[0]));
+        continue;
       }
+      ASSERT_EQ(r.tucker.core.size(), cores[slot].size());
+      EXPECT_EQ(
+          std::memcmp(r.tucker.core.data(), cores[slot].data(),
+                      sizeof(double) *
+                          static_cast<std::size_t>(cores[slot].size())),
+          0)
+          << "core mismatch: threads=" << threads
+          << " method=" << static_cast<int>(slot);
+      EXPECT_TRUE(bitwise_equal(r.tucker.factors[0], factor0s[slot]))
+          << "factor mismatch: threads=" << threads
+          << " method=" << static_cast<int>(slot);
+    }
   tucker::parallel::set_max_threads(1);
 }
 

@@ -1,7 +1,8 @@
 // Mixed-precision compute path: software binary16 conversion properties,
-// wide-accumulator (fp32 storage / fp64 register) gemm/syrk/TTM accuracy and
-// bitwise determinism across thread widths and kernel variants, the
-// half-payload sketch, and the word-traffic ledger that prices them.
+// wide-accumulator (fp32 storage / fp64 register) gemm/syrk/TTM accuracy,
+// bitwise determinism across thread widths, the wide SIMD micro-kernels
+// against their scalar oracles, the half-payload sketch, and the
+// word-traffic ledger that prices them.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "common/thread_pool.hpp"
 #include "core/svd_engine.hpp"
 #include "data/synthetic_tensor.hpp"
+#include "kernel_oracle.hpp"
 #include "tensor/sketch.hpp"
 #include "tensor/ttm.hpp"
 
@@ -43,18 +45,8 @@ bool bitwise_equal(const tensor::Tensor<T>& a, const tensor::Tensor<T>& b) {
                      sizeof(T) * static_cast<std::size_t>(a.size())) == 0;
 }
 
-struct PayloadGuard {
-  tensor::SketchPayload prev = tensor::sketch_payload();
-  ~PayloadGuard() { tensor::sketch_payload() = prev; }
-};
-
 struct ThreadsGuard {
   ~ThreadsGuard() { parallel::set_max_threads(1); }
-};
-
-struct VariantGuard {
-  blas::detail::KernelVariant prev = blas::detail::kernel_variant();
-  ~VariantGuard() { blas::detail::kernel_variant() = prev; }
 };
 
 // ------------------------------------------------ binary16 conversion
@@ -216,10 +208,14 @@ TEST(WideAccumTest, WideIsIdentityForDouble) {
 
 // --------------------------------- wide accumulation: bitwise contracts
 
-TEST(WideAccumTest, GemmSyrkBitwiseAcrossThreadsAndVariants) {
+TEST(WideAccumTest, SimdKernelsMatchScalarOracle) {
+  oracle::expect_gemm_tile_matches_oracle<float, wide_t<float>>();
+  oracle::expect_gemm_tile_matches_oracle<double, wide_t<double>>();
+  oracle::expect_ttm_kernels_match_oracle<float, wide_t<float>>();
+}
+
+TEST(WideAccumTest, GemmSyrkBitwiseAcrossThreads) {
   ThreadsGuard tg;
-  VariantGuard vg;
-  using blas::detail::KernelVariant;
   const index_t m = 36, n = 44, k = 300;  // k spans two gemm k blocks
   Rng rng(24);
   Matrix<float> a(m, k), b(k, n);
@@ -231,23 +227,18 @@ TEST(WideAccumTest, GemmSyrkBitwiseAcrossThreadsAndVariants) {
       b(i, j) = static_cast<float>(rng.normal<double>());
 
   Matrix<float> c_ref, g_ref;
-  for (KernelVariant v : {KernelVariant::kSimd, KernelVariant::kScalar}) {
-    for (int threads : {1, 2, 7}) {
-      blas::detail::kernel_variant() = v;
-      parallel::set_max_threads(threads);
-      Matrix<float> c(m, n), g(m, m);
-      blas::gemm<float, double>(1.0f, a.cview(), b.cview(), 0.0f, c.view());
-      blas::syrk<float, double>(1.0f, a.cview(), 0.0f, g.view());
-      if (c_ref.empty()) {
-        c_ref = std::move(c);
-        g_ref = std::move(g);
-        continue;
-      }
-      EXPECT_TRUE(bitwise_equal(c, c_ref))
-          << "gemm variant=" << static_cast<int>(v) << " threads=" << threads;
-      EXPECT_TRUE(bitwise_equal(g, g_ref))
-          << "syrk variant=" << static_cast<int>(v) << " threads=" << threads;
+  for (int threads : {1, 2, 7}) {
+    parallel::set_max_threads(threads);
+    Matrix<float> c(m, n), g(m, m);
+    blas::gemm<float, double>(1.0f, a.cview(), b.cview(), 0.0f, c.view());
+    blas::syrk<float, double>(1.0f, a.cview(), 0.0f, g.view());
+    if (c_ref.empty()) {
+      c_ref = std::move(c);
+      g_ref = std::move(g);
+      continue;
     }
+    EXPECT_TRUE(bitwise_equal(c, c_ref)) << "gemm threads=" << threads;
+    EXPECT_TRUE(bitwise_equal(g, g_ref)) << "syrk threads=" << threads;
   }
 }
 
@@ -299,19 +290,18 @@ TEST(WideAccumTest, TtmEnginesAgreeBitwiseWithinOneKBlock) {
 
 TEST(HalfSketchTest, DeterministicAcrossThreadWidths) {
   ThreadsGuard tg;
-  PayloadGuard pg;
   tensor::Tensor<float> x({20, 12, 14});
   Rng rng(27);
   for (index_t i = 0; i < x.size(); ++i)
     x.data()[i] = static_cast<float>(rng.normal<double>());
   const index_t w = 10;
 
-  tensor::sketch_payload() = tensor::SketchPayload::kHalf;
   Matrix<float> s_ref;
   for (int threads : {1, 2, 7}) {
     parallel::set_max_threads(threads);
     Matrix<float> s(x.dim(1), w);
-    tensor::sketch_unfolding_cols(x, 1, 777u, 0, w, s.view());
+    tensor::sketch_unfolding_cols(x, 1, 777u, 0, w, s.view(),
+                                  tensor::SketchPayload::kHalf);
     if (s_ref.empty()) {
       s_ref = std::move(s);
       continue;
@@ -322,9 +312,9 @@ TEST(HalfSketchTest, DeterministicAcrossThreadWidths) {
   // The half payload really is a different Omega (quantized draws), but
   // only by the fp16 quantization error of each entry: the two sketches
   // must differ, yet stay within eps_h * sqrt(cols) of each other.
-  tensor::sketch_payload() = tensor::SketchPayload::kNative;
   Matrix<float> s_native(x.dim(1), w);
-  tensor::sketch_unfolding_cols(x, 1, 777u, 0, w, s_native.view());
+  tensor::sketch_unfolding_cols(x, 1, 777u, 0, w, s_native.view(),
+                                tensor::SketchPayload::kNative);
   double maxdiff = 0, scale = 0;
   for (index_t i = 0; i < s_native.rows(); ++i)
     for (index_t j = 0; j < w; ++j) {
@@ -343,7 +333,6 @@ TEST(HalfSketchTest, RandSvdStaysOnWorkingPrecisionRung) {
   // The range finder only needs Omega to span the row space: quantizing
   // Omega through fp16 must not knock the recovered spectrum off the
   // working-precision rung.
-  PayloadGuard pg;
   auto xd = data::tensor_with_spectra(
       {18, 12, 14},
       {data::DecayProfile::geometric(1.0, 1e-4),
@@ -359,7 +348,7 @@ TEST(HalfSketchTest, RandSvdStaysOnWorkingPrecisionRung) {
   const double smax = std::sqrt(truth.sigma_sq[0]);
   for (auto payload :
        {tensor::SketchPayload::kNative, tensor::SketchPayload::kHalf}) {
-    tensor::sketch_payload() = payload;
+    opt.payload = payload;
     auto got = core::rand_svd(xf, 0, r, 0.0, opt);
     ASSERT_GE(got.sigma_sq.size(), static_cast<std::size_t>(r));
     for (index_t i = 0; i < r; ++i) {

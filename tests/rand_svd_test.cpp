@@ -323,7 +323,8 @@ TEST(ParRandomizedSvdTest, ExactLowRankSubspaceRecovered) {
   tucker::mpi::Runtime::run(4, [&](tucker::mpi::Comm& world) {
     DistTensor<double> dt(world, ProcessorGrid({2, 2, 1}), x.dims());
     dt.fill_from(x);
-    auto rsvd = tucker::dist::par_rand_svd(dt, 0, 3, 0.0, 8, 1, 0x5eed, 0,
+    auto rsvd = tucker::dist::par_rand_svd(dt, 0, 3, 0.0,
+                                           RandSvdOptions{8, 1, 0x5eed, 0},
                                            "mode0");
     if (world.rank() == 0) {
       EXPECT_GE(rsvd.u.cols(), 3);
@@ -346,8 +347,8 @@ TEST(ParRandomizedSvdTest, ReplicatedIdenticallyAcrossRanksAndGrids) {
         ProcessorGrid(gdims).total(), [&](tucker::mpi::Comm& world) {
           DistTensor<double> dt(world, ProcessorGrid(gdims), x.dims());
           dt.fill_from(x);
-          auto r = tucker::dist::par_rand_svd(dt, 1, 4, 0.0, 4, 1, 99, 0,
-                                              "mode1");
+          auto r = tucker::dist::par_rand_svd(
+              dt, 1, 4, 0.0, RandSvdOptions{4, 1, 99, 0}, "mode1");
           if (world.rank() == 0) sig = r.sigma_sq;
         });
     return sig;

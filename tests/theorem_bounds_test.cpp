@@ -346,10 +346,6 @@ TEST(MixedPrecisionTest, WideAccumTightensGramAndStaysOnTheRung) {
 }
 
 TEST(MixedPrecisionTest, HalfSketchStaysOnTheWorkingPrecisionRung) {
-  struct PayloadGuard {
-    tensor::SketchPayload prev = tensor::sketch_payload();
-    ~PayloadGuard() { tensor::sketch_payload() = prev; }
-  } guard;
   auto x = data::tensor_with_spectra(
       {14, 12, 16},
       {data::DecayProfile::geometric(1.0, 1e-6),
@@ -368,7 +364,7 @@ TEST(MixedPrecisionTest, HalfSketchStaysOnTheWorkingPrecisionRung) {
   opt.power_iters = 2;
   for (auto payload :
        {tensor::SketchPayload::kNative, tensor::SketchPayload::kHalf}) {
-    tensor::sketch_payload() = payload;
+    opt.payload = payload;
     auto got = core::rand_svd(xf, 0, k, 0.0, opt);
     ASSERT_GE(got.sigma_sq.size(), static_cast<std::size_t>(k));
     // Sigma errors: same generous working-precision-rung bound for both

@@ -2,9 +2,10 @@
 //  - packed and reference engines produce bitwise-identical results across
 //    thread widths {1, 2, 7}, every mode of 3- and 4-order tensors with
 //    odd/prime dims, rank-1 factors, short-fat (axpy/mode-0 kernel) and
-//    tall (prepacked-gemm kernel) factors, for both kernel variants, and
-//    on both sides of the mode-0 dot-kernel and streaming-walk hand-offs
-//    to gemm;
+//    tall (prepacked-gemm kernel) factors, and on both sides of the mode-0
+//    dot-kernel and streaming-walk hand-offs to gemm;
+//  - the SIMD TTM kernels match their scalar oracles, called directly
+//    (kernel_oracle.hpp);
 //  - both engines record identical flop totals;
 //  - the reference mode-0 staging of a fully strided factor view changes
 //    no bits;
@@ -25,6 +26,7 @@
 #include "common/thread_pool.hpp"
 #include "core/sthosvd.hpp"
 #include "data/synthetic_tensor.hpp"
+#include "kernel_oracle.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/ttm.hpp"
 
@@ -118,12 +120,7 @@ void sweep_modes(const Dims& dims, const std::vector<index_t>& rank_list,
 
 class TtmEquivalence : public ::testing::Test {
  protected:
-  void TearDown() override {
-    parallel::set_max_threads(1);
-    blas::detail::kernel_variant() = TUCKER_SIMD
-                                         ? blas::detail::KernelVariant::kSimd
-                                         : blas::detail::KernelVariant::kScalar;
-  }
+  void TearDown() override { parallel::set_max_threads(1); }
 };
 
 TEST_F(TtmEquivalence, PackedMatchesReferenceAcrossWidths3Order) {
@@ -155,12 +152,9 @@ TEST_F(TtmEquivalence, DispatchBoundariesAcrossWidths) {
   }
 }
 
-TEST_F(TtmEquivalence, PackedMatchesReferenceBothKernelVariants) {
-  for (auto variant : {blas::detail::KernelVariant::kSimd,
-                       blas::detail::KernelVariant::kScalar}) {
-    blas::detail::kernel_variant() = variant;
-    sweep_modes<double>({13, 9, 21}, {1, 4, 13}, 0xabcd04);
-  }
+TEST_F(TtmEquivalence, SimdKernelsMatchScalarOracle) {
+  oracle::expect_ttm_kernels_match_oracle<double>();
+  oracle::expect_ttm_kernels_match_oracle<float>();
 }
 
 TEST_F(TtmEquivalence, EnginesRecordIdenticalFlopTotals) {
